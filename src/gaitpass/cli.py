@@ -5,8 +5,10 @@ its artifacts into an output directory, and finishes with a manifest
 recording the config hash, input hashes, artifact hashes and library
 versions, so a run can be reproduced and verified byte for byte.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 algorithmic
-precondition failure.  Failures emit one JSON line on standard error.
+Exit codes: 0 success, 2 config error (an unwritable output directory
+included), 3 data error (a missing, truncated or malformed input file
+included), 4 algorithmic precondition failure.  Failures emit one JSON
+line on standard error.
 """
 
 from __future__ import annotations
@@ -223,11 +225,11 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 
     cluster_lz: list[int] = []
     for h in sweep:
-        clustering = cluster_columns(
+        _, labels = cluster_columns(
             triplet.values, h, linkage=linkage, standardize=standardize
         )
         seq = SymbolSequence(
-            symbols=clustering.assignments,
+            symbols=labels,
             alphabet_size=h,
             provenance="hca-cluster",
         )
@@ -420,11 +422,7 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     train, test = split_alternating(sigma)
     model = train_key_pss(train, max_keys=max_keys)
     test_results = classify_matrix(model, test)
-    test_accuracy = sum(
-        1
-        for result, truth in zip(test_results, test.subjects)
-        if result.subject_id == truth
-    ) / test.n_rows
+    test_accuracy = classification_accuracy(test_results, test.subjects)
     fallback_rate = sum(1 for r in test_results if r.fallback) / test.n_rows
 
     row_order, col_order = cluster_sigma(train)
@@ -477,7 +475,6 @@ def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     results = classify_matrix(model, sigma)
 
     lines = ["claimed\tsegment\tpredicted\tfallback\tscore"]
-    correct = 0
     for truth, index, result in zip(
         sigma.subjects, sigma.segment_indices, results
     ):
@@ -486,10 +483,9 @@ def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
             f"{truth}\t{index}\t{result.subject_id}\t"
             f"{int(result.fallback)}\t{repr(score)}"
         )
-        correct += int(result.subject_id == truth)
     report = {
         "n_rows": sigma.n_rows,
-        "accuracy_vs_claimed": correct / sigma.n_rows,
+        "accuracy_vs_claimed": classification_accuracy(results, sigma.subjects),
         "fallback_rate": sum(1 for r in results if r.fallback) / sigma.n_rows,
     }
     artifacts = {
@@ -647,7 +643,10 @@ def main(argv: list[str] | None = None) -> int:
             args.out if args.out else config.get_str("output_dir", "out")
         )
         artifacts, inputs = COMMANDS[args.command](config)
-        _write_run(outdir, args.command, config, args.overrides, artifacts, inputs)
+        try:
+            _write_run(outdir, args.command, config, args.overrides, artifacts, inputs)
+        except OSError as exc:  # the output path comes from -o or output_dir
+            raise ConfigError(f"cannot write {outdir}: {exc}") from exc
     except ConfigError as exc:
         return _fail("config", 2, exc)
     except DataError as exc:

@@ -9,7 +9,6 @@ Cluster ids are relabeled so id 0 is the most populous cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.cluster import hierarchy
@@ -24,20 +23,17 @@ MAX_FIT_COLUMNS = 65536
 
 @dataclass(frozen=True, eq=False)
 class ColumnClustering:
-    """Result of one column-clustering fit.
+    """The code book one column-clustering fit leaves behind.
 
-    ``assignments`` maps each fitted column to a cluster id in [0, h);
-    ``centroids`` are raw-space per-cluster member means (h x d);
-    ``merges`` is the (N - 1) x 4 merge history (child, child, height,
-    size); ``row_mean``/``row_std`` record the per-row standardization
-    applied before clustering (zeros/ones when standardization was off).
+    ``centroids`` are raw-space per-cluster member means (h x d) and
+    ``sizes`` the fitted columns each cluster took; ``row_mean``/``row_std``
+    record the per-row standardization applied before clustering
+    (zeros/ones when standardization was off).
     """
 
-    assignments: np.ndarray
     h: int
     centroids: np.ndarray
     sizes: np.ndarray
-    merges: np.ndarray
     linkage: str
     row_mean: np.ndarray
     row_std: np.ndarray
@@ -45,36 +41,26 @@ class ColumnClustering:
     def __post_init__(self) -> None:
         if self.linkage not in LINKAGES:
             raise ValueError(f"linkage {self.linkage!r} not in {LINKAGES}")
-        assignments = np.array(self.assignments, dtype=np.int64)
         centroids = np.array(self.centroids, dtype=float)
         sizes = np.array(self.sizes, dtype=np.int64)
-        merges = np.array(self.merges, dtype=float)
         row_mean = np.array(self.row_mean, dtype=float)
         row_std = np.array(self.row_std, dtype=float)
-        if not 1 <= self.h <= assignments.shape[0]:
-            raise ValueError("need 1 <= h <= number of fitted columns")
+        if self.h < 1:
+            raise ValueError("need h >= 1")
         if centroids.shape != (self.h, row_mean.shape[0]):
             raise ValueError("centroids must be h x d")
         if sizes.shape != (self.h,) or sizes.min() < 1:
             raise ValueError("every cluster id must own at least one column")
-        if int(sizes.sum()) != assignments.shape[0]:
-            raise ValueError("cluster sizes must sum to the column count")
-        if assignments.min() < 0 or assignments.max() >= self.h:
-            raise ValueError("assignments must lie in [0, h)")
-        if merges.shape != (assignments.shape[0] - 1, 4):
-            raise ValueError("merges must be (N - 1) x 4")
-        for arr in (assignments, centroids, sizes, merges, row_mean, row_std):
+        for arr in (centroids, sizes, row_mean, row_std):
             arr.flags.writeable = False
-        object.__setattr__(self, "assignments", assignments)
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "row_mean", row_mean)
         object.__setattr__(self, "row_std", row_std)
 
     @property
     def n_columns(self) -> int:
-        return self.assignments.shape[0]
+        return int(self.sizes.sum())
 
     @property
     def n_dims(self) -> int:
@@ -86,13 +72,14 @@ def cluster_columns(
     h: int,
     linkage: str = "ward",
     standardize: bool = True,
-) -> ColumnClustering:
+) -> tuple[ColumnClustering, np.ndarray]:
     """Fit an H-cluster column clustering of a d x N matrix.
 
     Rows are optionally standardized to zero mean and unit variance before
     distances are computed (constant rows keep unit scale); the merge tree
     is cut where exactly ``h`` clusters remain.  Cluster ids come out in
-    decreasing size order, ties broken by earliest member column.
+    decreasing size order, ties broken by earliest member column.  Returns
+    the code book and the N fitted columns' cluster ids.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
@@ -120,7 +107,6 @@ def cluster_columns(
     observations = ((matrix - row_mean[:, None]) / row_std[:, None]).T
 
     if n == 1:
-        merges = np.empty((0, 4))
         raw_labels = np.zeros(1, dtype=np.int64)
     else:
         merges = hierarchy.linkage(observations, method=linkage)
@@ -135,25 +121,24 @@ def cluster_columns(
     remap = np.empty(len(ids), dtype=np.int64)
     for new_id, k in enumerate(order):
         remap[ids[k]] = new_id
-    assignments = remap[raw_labels]
+    labels = remap[raw_labels]
 
     centroids = np.zeros((h, d))
     sizes = np.zeros(h, dtype=np.int64)
     for cid in range(h):
-        members = assignments == cid
+        members = labels == cid
         sizes[cid] = int(members.sum())
         centroids[cid] = matrix[:, members].mean(axis=1)
 
-    return ColumnClustering(
-        assignments=assignments,
+    clustering = ColumnClustering(
         h=h,
         centroids=centroids,
         sizes=sizes,
-        merges=merges,
         linkage=linkage,
         row_mean=row_mean,
         row_std=row_std,
     )
+    return clustering, labels
 
 
 def assign_nearest(clustering: ColumnClustering, columns: np.ndarray) -> np.ndarray:
@@ -180,100 +165,3 @@ def assign_nearest(clustering: ColumnClustering, columns: np.ndarray) -> np.ndar
     norms = np.sum(scaled_centroids**2, axis=1)[:, None]
     return np.argmin(norms - 2.0 * cross, axis=0).astype(np.int64)
 
-
-# ---------------------------------------------------------------------------
-# persistence (versioned plain-text schema)
-# ---------------------------------------------------------------------------
-
-_MAGIC = "gaitpass-codebook v1"
-
-
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
-def clustering_to_text(clustering: ColumnClustering) -> str:
-    lines = [
-        _MAGIC,
-        f"linkage {clustering.linkage}",
-        f"h {clustering.h}",
-        f"dims {clustering.n_dims}",
-        f"columns {clustering.n_columns}",
-        "row_mean " + _fmt(clustering.row_mean),
-        "row_std " + _fmt(clustering.row_std),
-        "sizes " + " ".join(str(int(s)) for s in clustering.sizes),
-        "centroids",
-    ]
-    for row in clustering.centroids:
-        lines.append(_fmt(row))
-    lines.append(f"merges {clustering.merges.shape[0]}")
-    for row in clustering.merges:
-        lines.append(_fmt(row))
-    lines.append("assignments")
-    flat = [str(int(a)) for a in clustering.assignments]
-    for i in range(0, len(flat), 32):
-        lines.append(" ".join(flat[i : i + 32]))
-    return "\n".join(lines) + "\n"
-
-
-def clustering_from_text(text: str) -> ColumnClustering:
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"not a {_MAGIC!r} file")
-
-    def field(idx: int, key: str) -> list[str]:
-        parts = lines[idx].split()
-        if not parts or parts[0] != key:
-            raise ValueError(f"expected {key!r} on line {idx + 1}")
-        return parts[1:]
-
-    linkage = field(1, "linkage")[0]
-    h = int(field(2, "h")[0])
-    d = int(field(3, "dims")[0])
-    n = int(field(4, "columns")[0])
-    row_mean = np.array([float(v) for v in field(5, "row_mean")])
-    row_std = np.array([float(v) for v in field(6, "row_std")])
-    sizes = np.array([int(v) for v in field(7, "sizes")])
-    if lines[8] != "centroids":
-        raise ValueError("expected 'centroids' on line 9")
-    at = 9
-    centroids = np.array(
-        [[float(v) for v in lines[at + i].split()] for i in range(h)]
-    ).reshape(h, d)
-    at += h
-    n_merges = int(field(at, "merges")[0])
-    at += 1
-    merges = np.array(
-        [[float(v) for v in lines[at + i].split()] for i in range(n_merges)]
-    ).reshape(n_merges, 4)
-    at += n_merges
-    if lines[at] != "assignments":
-        raise ValueError(f"expected 'assignments' on line {at + 1}")
-    at += 1
-    flat: list[int] = []
-    for line in lines[at:]:
-        flat.extend(int(v) for v in line.split())
-    assignments = np.array(flat, dtype=np.int64)
-    if assignments.shape[0] != n:
-        raise ValueError(
-            f"assignment count {assignments.shape[0]} does not match "
-            f"declared column count {n}"
-        )
-    return ColumnClustering(
-        assignments=assignments,
-        h=h,
-        centroids=centroids,
-        sizes=sizes,
-        merges=merges,
-        linkage=linkage,
-        row_mean=row_mean,
-        row_std=row_std,
-    )
-
-
-def save_clustering(clustering: ColumnClustering, path: str | Path) -> None:
-    Path(path).write_text(clustering_to_text(clustering))
-
-
-def load_clustering(path: str | Path) -> ColumnClustering:
-    return clustering_from_text(Path(path).read_text())

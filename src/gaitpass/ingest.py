@@ -144,8 +144,90 @@ class SensorTriplet:
 
 
 # ---------------------------------------------------------------------------
-# text-table parsing shared by both dataset loaders
+# text files: one loader and one line cursor shared by every reader
 # ---------------------------------------------------------------------------
+
+def parse_file(path: str | Path, parse):
+    """Read the text file at ``path`` and return ``parse(text)``.
+
+    An unreadable file, and any :class:`DataError` or ``ValueError`` the
+    parser raises, becomes a :class:`DataError` naming the file.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except (DataError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+class LineReader:
+    """Cursor over the lines of a persisted text format.
+
+    The first line must equal ``magic``.  Each read consumes one line; a
+    missing line, an unexpected key or a malformed number raises
+    :class:`DataError` naming the 1-based line.
+    """
+
+    def __init__(self, text: str, magic: str) -> None:
+        self._lines = text.splitlines()
+        self._at = 1
+        if not self._lines or self._lines[0] != magic:
+            raise self.error(f"not a {magic!r} file")
+
+    def error(self, message: str) -> DataError:
+        return DataError(f"line {self._at}: {message}")
+
+    def line(self) -> str:
+        self._at += 1
+        if self._at > len(self._lines):
+            raise self.error("file ends early")
+        return self._lines[self._at - 1]
+
+    def rest(self, key: str) -> str:
+        """Everything after ``key`` and one space on the next line."""
+        line = self.line()
+        if line != key and not line.startswith(key + " "):
+            raise self.error(f"expected {key!r}")
+        return line[len(key) + 1 :]
+
+    def fields(self, key: str | None = None, count: int | None = None) -> list[str]:
+        """The next line's tokens, after a leading ``key`` when one is given."""
+        tokens = self.line().split()
+        if key is not None:
+            if not tokens or tokens[0] != key:
+                raise self.error(f"expected {key!r}")
+            tokens = tokens[1:]
+        if count is not None and len(tokens) != count:
+            raise self.error(f"expected {count} values, found {len(tokens)}")
+        return tokens
+
+    def numbers(self, tokens: list[str], kind=float) -> list:
+        try:
+            return [kind(token) for token in tokens]
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
+    def values(self, key: str | None, kind=float, count: int | None = None) -> list:
+        return self.numbers(self.fields(key, count), kind)
+
+    def value(self, key: str, kind=float):
+        return self.values(key, kind, 1)[0]
+
+    def rows(self, n: int, width: int, kind=float) -> np.ndarray:
+        """``n`` lines of ``width`` numbers each, as an n x width array."""
+        return np.array(
+            [self.values(None, kind, width) for _ in range(n)], dtype=kind
+        ).reshape(n, width)
+
+    def finish(self) -> None:
+        if self._at < len(self._lines):
+            self._at += 1
+            raise self.error("unexpected content after the last record")
+
 
 def _is_number(token: str) -> bool:
     try:
@@ -155,19 +237,14 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _read_table(path: Path) -> tuple[list[str] | None, np.ndarray]:
+def _parse_table(text: str) -> tuple[list[str] | None, np.ndarray]:
     """Parse a whitespace- or comma-delimited numeric table.
 
     Blank lines and ``#`` comment lines are skipped.  If the first content
     row contains any non-numeric token it is taken as a header.  Returns
     ``(header_tokens_or_None, rows_as_2d_float_array)``.  Malformed content
-    raises :class:`DataError` naming the offending line of the file.
+    raises :class:`DataError` naming the offending line.
     """
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
     header: list[str] | None = None
     rows: list[list[float]] = []
     width = -1
@@ -183,23 +260,22 @@ def _read_table(path: Path) -> tuple[list[str] | None, np.ndarray]:
         for col, token in enumerate(tokens, start=1):
             if not _is_number(token):
                 raise DataError(
-                    f"{path}: line {lineno}, column {col}: "
-                    f"non-numeric value {token!r}"
+                    f"line {lineno}, column {col}: non-numeric value {token!r}"
                 )
             values.append(float(token))
         if width == -1:
             width = len(values)
         elif len(values) != width:
             raise DataError(
-                f"{path}: line {lineno}: {len(values)} columns, expected {width}"
+                f"line {lineno}: {len(values)} columns, expected {width}"
             )
         rows.append(values)
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
     data = np.array(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         bad = int(np.argwhere(~np.all(np.isfinite(data), axis=1))[0, 0])
-        raise DataError(f"{path}: non-finite value in data row {bad + 1}")
+        raise DataError(f"non-finite value in data row {bad + 1}")
     return header, data
 
 
@@ -236,7 +312,7 @@ def load_marea(
         raise DataError(
             f"unknown MAREA sensors {unknown}; available: {list(MAREA_SENSORS)}"
         )
-    header, data = _read_table(path)
+    header, data = parse_file(path, _parse_table)
 
     if header is not None:
         layout: dict[str, dict[str, int]] = {}
@@ -287,7 +363,7 @@ def load_hugadb(
     18 accelerometer channels must be present.
     """
     path = Path(path)
-    header, data = _read_table(path)
+    header, data = parse_file(path, _parse_table)
     if header is None:
         raise DataError(f"{path}: HuGaDB file lacks the expected header row")
 

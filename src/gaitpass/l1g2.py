@@ -13,19 +13,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .complexity import SymbolSequence, couple_naive
-from .hca import (
-    ColumnClustering,
-    assign_nearest,
-    cluster_columns,
-    clustering_from_text,
-    clustering_to_text,
-)
-from .ingest import SensorTriplet
+from .hca import ColumnClustering, assign_nearest, cluster_columns
+from .ingest import LineReader, SensorTriplet
+
+
+def _fmt(values) -> str:
+    """Floats as exact, round-tripping text."""
+    return " ".join(repr(float(v)) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,16 +57,15 @@ class LocalCode:
     @property
     def code_book_id(self) -> str:
         """Content hash identifying this code book across artifacts."""
+        clustering = self.clustering
         payload = "|".join(
             [
-                self.clustering.linkage,
-                str(self.clustering.h),
+                clustering.linkage,
+                str(clustering.h),
                 ",".join(self.source_sensors),
-                " ".join(repr(float(v)) for v in self.clustering.row_mean),
-                " ".join(repr(float(v)) for v in self.clustering.row_std),
-                " ".join(
-                    repr(float(v)) for v in self.clustering.centroids.ravel()
-                ),
+                _fmt(clustering.row_mean),
+                _fmt(clustering.row_std),
+                _fmt(clustering.centroids.ravel()),
             ]
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -125,7 +122,7 @@ def fit_local_code(
         stride = math.ceil(stacked.shape[1] / max_fit_columns)
         fit_matrix = stacked[:, ::stride]
         subsampled = True
-    clustering = cluster_columns(
+    clustering, _ = cluster_columns(
         fit_matrix, h, linkage=linkage, standardize=standardize
     )
     return LocalCode(
@@ -190,9 +187,6 @@ class CoupledStateSequence:
         """Flatten tuples to single symbols over the product alphabet."""
         return couple_naive([self.project(j) for j in range(self.arity)])
 
-    def state_at(self, t: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.codes[t])
-
 
 def couple(
     seqs: list[SymbolSequence], labels: list[str]
@@ -214,41 +208,56 @@ def couple(
 
 
 # ---------------------------------------------------------------------------
-# persistence: code book file = clustering schema plus provenance lines
+# persistence: the code book file holds what encoding reads, plus provenance
 # ---------------------------------------------------------------------------
 
-_MAGIC = "gaitpass-localcode v1"
+_MAGIC = "gaitpass-codebook v2"
 
 
 def local_code_to_text(code: LocalCode) -> str:
+    clustering = code.clustering
     lines = [
         _MAGIC,
         "sensors " + " ".join(code.source_sensors),
         f"window {code.window[0]} {code.window[1]}",
         f"subsampled {int(code.subsampled)}",
+        f"linkage {clustering.linkage}",
+        f"h {clustering.h}",
+        f"dims {clustering.n_dims}",
+        "row_mean " + _fmt(clustering.row_mean),
+        "row_std " + _fmt(clustering.row_std),
+        "sizes " + " ".join(str(int(s)) for s in clustering.sizes),
+        "centroids",
     ]
-    return "\n".join(lines) + "\n" + clustering_to_text(code.clustering)
+    lines.extend(_fmt(row) for row in clustering.centroids)
+    return "\n".join(lines) + "\n"
 
 
 def local_code_from_text(text: str) -> LocalCode:
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"not a {_MAGIC!r} file")
-    sensors = tuple(lines[1].split()[1:])
-    start, stop = (int(v) for v in lines[2].split()[1:3])
-    subsampled = bool(int(lines[3].split()[1]))
-    clustering = clustering_from_text("\n".join(lines[4:]) + "\n")
+    lines = LineReader(text, _MAGIC)
+    sensors = tuple(lines.fields("sensors"))
+    window = tuple(lines.values("window", int, 2))
+    subsampled = bool(lines.value("subsampled", int))
+    linkage = lines.value("linkage", str)
+    h = lines.value("h", int)
+    d = lines.value("dims", int)
+    row_mean = lines.values("row_mean", float, d)
+    row_std = lines.values("row_std", float, d)
+    sizes = lines.values("sizes", int, h)
+    lines.fields("centroids", 0)
+    centroids = lines.rows(h, d)
+    lines.finish()
+    clustering = ColumnClustering(
+        h=h,
+        centroids=centroids,
+        sizes=sizes,
+        linkage=linkage,
+        row_mean=row_mean,
+        row_std=row_std,
+    )
     return LocalCode(
         clustering=clustering,
         source_sensors=sensors,
-        window=(start, stop),
+        window=window,
         subsampled=subsampled,
     )
-
-
-def save_local_code(code: LocalCode, path: str | Path) -> None:
-    Path(path).write_text(local_code_to_text(code))
-
-
-def load_local_code(path: str | Path) -> LocalCode:
-    return local_code_from_text(Path(path).read_text())

@@ -50,16 +50,6 @@ class RunStatistics:
     run_sizes: np.ndarray
     length: int
 
-    def expand(self) -> np.ndarray:
-        """Rebuild the T x k code matrix from the run encoding."""
-        arity = len(self.run_order[0])
-        codes = np.empty((self.length, arity), dtype=np.int64)
-        for state, start, size in zip(
-            self.run_order, self.run_starts, self.run_sizes
-        ):
-            codes[start : start + size] = state
-        return codes
-
 
 def run_statistics(seq: CoupledStateSequence) -> RunStatistics:
     """Run-length encode a sequence and compute per-state regularity.

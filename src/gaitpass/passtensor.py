@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CodeBookMismatchError
+from .ingest import LineReader, parse_file
 from .l1g2 import CoupledStateSequence
 from .landmark import CyclePartition
 from .svgfig import _f, check_palette, svg_document, text
@@ -140,15 +141,19 @@ def build_passtensor(
     )
 
 
+def _code_counts(pt: Passtensor) -> np.ndarray:
+    """R x B x max(H) count of each code over cycles, zero past a ring's H."""
+    width = max(pt.alphabet_sizes)
+    cells = np.arange(pt.n_rings * pt.n_bins).reshape(pt.n_rings, pt.n_bins)
+    flat = (cells * width + pt.tensor).ravel()
+    return np.bincount(flat, minlength=cells.size * width).reshape(
+        pt.n_rings, pt.n_bins, width
+    )
+
+
 def skeleton(pt: Passtensor) -> np.ndarray:
     """Per-bin modal code over cycles (R x B); ties take the smaller code."""
-    result = np.empty((pt.n_rings, pt.n_bins), dtype=np.int64)
-    for r in range(pt.n_rings):
-        h = pt.alphabet_sizes[r]
-        for b in range(pt.n_bins):
-            counts = np.bincount(pt.tensor[:, r, b], minlength=h)
-            result[r, b] = int(np.argmax(counts))
-    return result
+    return np.argmax(_code_counts(pt), axis=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +174,6 @@ class PasstensorDiff:
     stochastic_agreement: float
     skeleton_weight: float
     distance: float
-
-
-def _bin_histograms(pt: Passtensor) -> list[np.ndarray]:
-    """Per ring: B x H code-frequency matrix over cycles (rows sum to 1)."""
-    out = []
-    for r in range(pt.n_rings):
-        h = pt.alphabet_sizes[r]
-        counts = np.zeros((pt.n_bins, h))
-        for b in range(pt.n_bins):
-            counts[b] = np.bincount(pt.tensor[:, r, b], minlength=h)
-        out.append(counts / pt.n_cycles)
-    return out
 
 
 def compare_passtensors(
@@ -208,8 +201,10 @@ def compare_passtensors(
     if not 0.0 <= skeleton_weight <= 1.0:
         raise ValueError("skeleton_weight must lie in [0, 1]")
 
-    skel_a = skeleton(a)
-    skel_b = skeleton(b)
+    counts_a = _code_counts(a)
+    counts_b = _code_counts(b)
+    skel_a = np.argmax(counts_a, axis=2)
+    skel_b = np.argmax(counts_b, axis=2)
     equal = skel_a == skel_b
     ring_agreement = tuple(float(np.mean(equal[r])) for r in range(a.n_rings))
     mismatches = tuple(
@@ -218,19 +213,18 @@ def compare_passtensors(
     )
     skeleton_agreement = float(np.mean(equal))
 
-    hist_a = _bin_histograms(a)
-    hist_b = _bin_histograms(b)
-    tv = np.empty((a.n_rings, a.n_bins))
-    for r in range(a.n_rings):
-        tv[r] = 0.5 * np.sum(np.abs(hist_a[r] - hist_b[r]), axis=1)
+    # per-cell total variation between the two code distributions, summed
+    # over each ring's own alphabet so the padding never regroups the sum
+    share_a = counts_a / a.n_cycles
+    share_b = counts_b / b.n_cycles
+    tv = np.array([
+        0.5 * np.sum(np.abs(share_a[r, :, :h] - share_b[r, :, :h]), axis=1)
+        for r, h in enumerate(a.alphabet_sizes)
+    ])
     stochastic_agreement = float(1.0 - np.mean(tv))
 
-    cycle_agreement_a = np.array(
-        [float(np.mean(a.tensor[c] == skel_b)) for c in range(a.n_cycles)]
-    )
-    cycle_agreement_b = np.array(
-        [float(np.mean(b.tensor[c] == skel_a)) for c in range(b.n_cycles)]
-    )
+    cycle_agreement_a = np.mean(a.tensor == skel_b, axis=(1, 2))
+    cycle_agreement_b = np.mean(b.tensor == skel_a, axis=(1, 2))
     distance = 1.0 - (
         skeleton_weight * skeleton_agreement
         + (1.0 - skeleton_weight) * stochastic_agreement
@@ -459,19 +453,16 @@ def passtensor_to_text(pt: Passtensor) -> str:
 
 
 def passtensor_from_text(text: str) -> Passtensor:
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"not a {_MAGIC!r} file")
-    c, r, b = (int(v) for v in lines[1].split()[1:4])
-    ring_labels = tuple(lines[2].split()[1:])
-    alphabet_sizes = tuple(int(v) for v in lines[3].split()[1:])
-    landmark_state = tuple(int(v) for v in lines[4].split()[1:])
-    code_book_id = lines[5].split(" ", 1)[1] if " " in lines[5] else ""
-    raw_lengths = np.array([int(v) for v in lines[6].split()[1:]])
-    if lines[7] != "tensor":
-        raise ValueError("expected 'tensor' on line 8")
-    rows = [[int(v) for v in line.split()] for line in lines[8 : 8 + c * r]]
-    tensor = np.array(rows, dtype=np.int64).reshape(c, r, b)
+    lines = LineReader(text, _MAGIC)
+    c, r, b = lines.values("shape", int, 3)
+    ring_labels = tuple(lines.fields("rings", r))
+    alphabet_sizes = tuple(lines.values("alphabets", int, r))
+    landmark_state = tuple(lines.values("landmark", int))
+    code_book_id = lines.rest("codebook")
+    raw_lengths = lines.values("lengths", int, c)
+    lines.fields("tensor", 0)
+    tensor = lines.rows(c * r, b, int).reshape(c, r, b)
+    lines.finish()
     return Passtensor(
         tensor=tensor,
         ring_labels=ring_labels,
@@ -482,9 +473,5 @@ def passtensor_from_text(text: str) -> Passtensor:
     )
 
 
-def save_passtensor(pt: Passtensor, path: str | Path) -> None:
-    Path(path).write_text(passtensor_to_text(pt))
-
-
 def load_passtensor(path: str | Path) -> Passtensor:
-    return passtensor_from_text(Path(path).read_text())
+    return parse_file(path, passtensor_from_text)

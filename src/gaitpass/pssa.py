@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.cluster import hierarchy
 
+from .ingest import LineReader, parse_file
 from .symbolic import StateVectorSequence
 
 
@@ -80,22 +81,12 @@ def build_state_table(seqs: list[StateVectorSequence]) -> SystemStateTable:
     )
 
 
-def coverage_curve(
-    table: SystemStateTable, denominator: str = "pool"
-) -> np.ndarray:
+def coverage_curve(table: SystemStateTable) -> np.ndarray:
     """Cumulative frequency share of the top N* states, for N* = 1..N.
 
-    The default divides by the pooled sample count, so the curve ends at
-    exactly 1.0.  ``denominator="distinct"`` instead divides the cumulative
-    counts by the number of distinct states, a literal alternative
-    normalization kept for comparability.
+    Shares are of the pooled sample count, so the curve ends at exactly 1.0.
     """
-    cumulative = np.cumsum(table.frequencies)
-    if denominator == "pool":
-        return cumulative / float(table.pool_size)
-    if denominator == "distinct":
-        return cumulative / float(table.n_states)
-    raise ValueError("denominator must be 'pool' or 'distinct'")
+    return np.cumsum(table.frequencies) / float(table.pool_size)
 
 
 def select_pss(
@@ -364,7 +355,8 @@ def train_key_pss(sigma: ProportionMatrix, max_keys: int = 10) -> KeyPssModel:
         segment_length=sigma.segment_length,
         training_accuracy=0.0,
     )
-    return replace(model, training_accuracy=classification_accuracy(model, sigma))
+    accuracy = classification_accuracy(classify_matrix(model, sigma), sigma.subjects)
+    return replace(model, training_accuracy=accuracy)
 
 
 @dataclass(frozen=True)
@@ -421,15 +413,12 @@ def classify_matrix(
     return [classify_segment(model, row) for row in sigma.proportions]
 
 
-def classification_accuracy(model: KeyPssModel, sigma: ProportionMatrix) -> float:
-    """Fraction of rows attributed to their labeled subject."""
-    results = classify_matrix(model, sigma)
-    correct = sum(
-        1
-        for result, truth in zip(results, sigma.subjects)
-        if result.subject_id == truth
-    )
-    return correct / float(sigma.n_rows)
+def classification_accuracy(
+    results: list[ClassificationResult], subjects: tuple[str, ...]
+) -> float:
+    """Fraction of classified rows attributed to their labeled subject."""
+    correct = sum(r.subject_id == truth for r, truth in zip(results, subjects))
+    return correct / float(len(results))
 
 
 def cluster_sigma(
@@ -490,35 +479,30 @@ def model_to_text(model: KeyPssModel) -> str:
 
 
 def model_from_text(text: str) -> KeyPssModel:
-    lines = text.splitlines()
-    if not lines or lines[0] != _MODEL_MAGIC:
-        raise ValueError(f"not a {_MODEL_MAGIC!r} file")
-    segment_length = int(lines[1].split()[1])
-    accuracy = float(lines[2].split()[1])
-    n_states, d = (int(v) for v in lines[3].split()[1:3])
-    pss = np.array(
-        [[int(ch) for ch in lines[4 + i]] for i in range(n_states)],
-        dtype=np.uint8,
-    ).reshape(n_states, d)
-    at = 4 + n_states
-    n_subjects = int(lines[at].split()[1])
-    at += 1
+    lines = LineReader(text, _MODEL_MAGIC)
+    segment_length = lines.value("segment_length", int)
+    accuracy = lines.value("training_accuracy")
+    n_states, d = lines.values("states", int, 2)
+    rows = []
+    for _ in range(n_states):
+        label = lines.line()
+        if len(label) != d or not label.isdecimal():
+            raise lines.error(f"expected a {d}-digit state, found {label!r}")
+        rows.append([int(ch) for ch in label])
+    pss = np.array(rows, dtype=np.uint8).reshape(n_states, d)
     subjects: list[str] = []
     key_sets: dict[str, tuple[int, ...]] = {}
     thresholds: dict[str, float] = {}
     margins: dict[str, float] = {}
     centroids: dict[str, np.ndarray] = {}
-    for _ in range(n_subjects):
-        subject = lines[at].split(" ", 1)[1]
-        keys = tuple(int(v) for v in lines[at + 1].split()[1:])
-        thresholds[subject] = float(lines[at + 2].split()[1])
-        margins[subject] = float(lines[at + 3].split()[1])
-        centroids[subject] = np.array(
-            [float(v) for v in lines[at + 4].split()[1:]]
-        )
+    for _ in range(lines.value("subjects", int)):
+        subject = lines.rest("subject")
         subjects.append(subject)
-        key_sets[subject] = keys
-        at += 5
+        key_sets[subject] = tuple(lines.values("keys", int))
+        thresholds[subject] = lines.value("threshold")
+        margins[subject] = lines.value("margin")
+        centroids[subject] = np.array(lines.values("centroid", float, n_states))
+    lines.finish()
     return KeyPssModel(
         subjects=tuple(subjects),
         pss=pss,
@@ -531,9 +515,5 @@ def model_from_text(text: str) -> KeyPssModel:
     )
 
 
-def save_model(model: KeyPssModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_text(model))
-
-
 def load_model(path: str | Path) -> KeyPssModel:
-    return model_from_text(Path(path).read_text())
+    return parse_file(path, model_from_text)

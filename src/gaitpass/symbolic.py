@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import SensorTriplet, TimeSeriesFrame
+from .ingest import LineReader, SensorTriplet, TimeSeriesFrame, parse_file
 
 
 def resultant_acceleration(triplet: SensorTriplet) -> np.ndarray:
@@ -147,18 +147,15 @@ def coding_to_text(coding: TernaryCoding) -> str:
 
 
 def coding_from_text(text: str) -> TernaryCoding:
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"not a {_MAGIC!r} file")
-    alpha = float(lines[1].split()[1])
-    beta = float(lines[2].split()[1])
-    count = int(lines[3].split()[1])
-    channels = []
-    thresholds = []
-    for line in lines[4 : 4 + count]:
-        sensor, axis, a, b = line.split()
+    lines = LineReader(text, _MAGIC)
+    alpha = lines.value("alpha")
+    beta = lines.value("beta")
+    channels, thresholds = [], []
+    for _ in range(lines.value("channels", int)):
+        sensor, axis, *cuts = lines.fields(count=4)
         channels.append((sensor, axis))
-        thresholds.append((float(a), float(b)))
+        thresholds.append(lines.numbers(cuts))
+    lines.finish()
     return TernaryCoding(
         alpha=alpha,
         beta=beta,
@@ -167,9 +164,5 @@ def coding_from_text(text: str) -> TernaryCoding:
     )
 
 
-def save_coding(coding: TernaryCoding, path: str | Path) -> None:
-    Path(path).write_text(coding_to_text(coding))
-
-
 def load_coding(path: str | Path) -> TernaryCoding:
-    return coding_from_text(Path(path).read_text())
+    return parse_file(path, coding_from_text)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from gaitpass.cli import main
 from gaitpass.ingest import synthesize_walker
 from gaitpass.l1g2 import couple, encode_subsystem, fit_local_code, stack_lr
 from gaitpass.landmark import partition_cycles, run_statistics, select_landmark
@@ -77,3 +78,47 @@ def walk_clean():
 @pytest.fixture(scope="session")
 def pipeline_clean(walk_clean):
     return _run_pipeline(walk_clean)
+
+
+CLEAN_WALK_CFG = """\
+dataset:
+  kind: synthetic
+  cycles: 20
+  period_mean: 96.0
+  period_jitter: 0.0
+  sensors: 2
+  subjects:
+    clean: {seed: 2}
+passtensor:
+  bins: 16
+"""
+
+PAIR_CFG = """\
+dataset:
+  kind: synthetic
+  cycles: 10
+  period_mean: 64.0
+  period_jitter: 1.0
+  subjects:
+    ann: {seed: 11}
+    bob: {seed: 12}
+pssa:
+  coverage: 0.95
+  segment_length: 100
+"""
+
+
+@pytest.fixture(scope="session")
+def persisted_files(tmp_path_factory):
+    """Paths of every persisted format, as the CLI writes them."""
+    root = tmp_path_factory.mktemp("persisted")
+    for command, text in (("passtensor-build", CLEAN_WALK_CFG),
+                          ("pssa-train", PAIR_CFG)):
+        cfg = root / f"{command}.yaml"
+        cfg.write_text(text)
+        assert main([command, "-c", str(cfg), "-o", str(root)]) == 0
+    return {
+        name: root / name
+        for name in ("passtensor.txt", "codebook_feet.txt", "model.txt",
+                     "coding.txt")
+    }

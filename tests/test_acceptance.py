@@ -35,6 +35,7 @@ from gaitpass.pssa import (
     build_proportion_matrix,
     build_state_table,
     classification_accuracy,
+    classify_matrix,
     select_pss,
     split_alternating,
     train_key_pss,
@@ -119,10 +120,10 @@ def test_criterion_2_cluster_coding_compresses(criterion_log):
         for d in range(3)
     ]
     naive_lz = lz76_complexity(couple_naive(axis_seqs))
-    clustering = cluster_columns(triplet.values, 27)
+    _, labels = cluster_columns(triplet.values, 27)
     cluster_lz = lz76_complexity(
         SymbolSequence(
-            symbols=clustering.assignments,
+            symbols=labels,
             alphabet_size=27,
             provenance="hca-cluster",
         )
@@ -143,7 +144,9 @@ def _pssa_accuracy(seqs_by_subject, n_states, segment_length):
     sigma = build_proportion_matrix(seqs_by_subject, pss, segment_length)
     train, test = split_alternating(sigma)
     model = train_key_pss(train)
-    return model.training_accuracy, classification_accuracy(model, test)
+    return model.training_accuracy, classification_accuracy(
+        classify_matrix(model, test), test.subjects
+    )
 
 
 def test_criterion_3a_marea_identification(criterion_log):

@@ -3,10 +3,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from gaitpass.cli import main
 from gaitpass.config import file_sha256
+from gaitpass.passtensor import Passtensor, passtensor_to_text
 
 WALK = """\
 dataset:
@@ -236,16 +238,39 @@ class TestFailureModes:
         assert "cannot read" in err["message"]
 
     def test_precondition_error_exit_4(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.txt"
-        bogus.write_text("gaitpass-codebook v1\n")
+        paths = []
+        for code_book_id in ("aaaa", "bbbb"):
+            pt = Passtensor(
+                tensor=np.zeros((2, 1, 8), dtype=np.int64),
+                ring_labels=("L",),
+                alphabet_sizes=(3,),
+                raw_lengths=(8, 8),
+                landmark_state=(0,),
+                code_book_id=code_book_id,
+            )
+            paths.append(tmp_path / f"{code_book_id}.txt")
+            paths[-1].write_text(passtensor_to_text(pt))
         cfg = config_file(
             tmp_path,
-            f"passtensor:\n  compare: [{bogus}, {bogus}]\n",
+            f"passtensor:\n  compare: [{paths[0]}, {paths[1]}]\n",
         )
         rc = main(["passtensor-compare", "-c", cfg, "-o", str(tmp_path / "o")])
         assert rc == 4
         err = json.loads(capsys.readouterr().err.splitlines()[0])
         assert err["error"] == "precondition"
+        assert "code books differ" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, WALK)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["cycles", "-c", cfg, "-o", str(blocker / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "config"
+        assert "cannot write" in json.loads(err[0])["message"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["cycles", "-c", str(tmp_path / "nope.yaml"),
@@ -253,3 +278,52 @@ class TestFailureModes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err.splitlines()[0])[
             "error"] == "config"
+
+
+def header_cut(text):
+    return "".join(text.splitlines(keepends=True)[:3])
+
+
+def garbled(text):
+    lines = text.splitlines(keepends=True)
+    lines[1] = lines[1].split(" ")[0] + " x\n"
+    return "".join(lines)
+
+
+def reader_run(key, bad, files):
+    """(command, config text) that reads ``bad`` through config key ``key``."""
+    if key == "render.passtensor":
+        return "render", f"render:\n  passtensor: {bad}\n"
+    if key == "passtensor.compare":
+        good = files["passtensor.txt"]
+        return "passtensor-compare", f"passtensor:\n  compare: [{good}, {bad}]\n"
+    model = bad if key == "pssa.model" else files["model.txt"]
+    coding = bad if key == "pssa.coding" else files["coding.txt"]
+    return "pssa-classify", PAIR + f"  model: {model}\n  coding: {coding}\n"
+
+
+READERS = {
+    "render.passtensor": "passtensor.txt",
+    "passtensor.compare": "passtensor.txt",
+    "pssa.model": "model.txt",
+    "pssa.coding": "coding.txt",
+}
+
+
+@pytest.mark.parametrize("damage", [None, header_cut, garbled],
+                         ids=["missing", "header_cut", "garbled"])
+@pytest.mark.parametrize("key", READERS)
+def test_bad_persisted_input_exit_3(key, damage, persisted_files, tmp_path, capsys):
+    bad = tmp_path / READERS[key]
+    if damage is not None:
+        bad.write_text(damage(persisted_files[READERS[key]].read_text()))
+    command, text = reader_run(key, bad, persisted_files)
+    out = tmp_path / "out"
+    rc = main([command, "-c", config_file(tmp_path, text), "-o", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "data"
+    assert str(bad) in message["message"]
+    assert not out.exists()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitpass.complexity import SymbolSequence, couple_naive
+from gaitpass.errors import DataError
 from gaitpass.hca import assign_nearest
 from gaitpass.ingest import AXES, TimeSeriesFrame
 from gaitpass.l1g2 import (
@@ -139,7 +140,6 @@ class TestCoupledStateSequence:
         assert coupled.arity == 2
         assert coupled.subsystem_labels == ("L", "R")
         assert coupled.h_per_subsystem == (3, 2)
-        assert coupled.state_at(2) == (2, 1)
         assert np.array_equal(coupled.project(0).symbols, a.symbols)
         assert np.array_equal(coupled.project(1).symbols, b.symbols)
 
@@ -205,6 +205,17 @@ class TestPersistence:
             encode_subsystem(code, left).symbols,
         )
 
+    def test_assignments_equivalent_after_roundtrip(self):
+        rng = np.random.default_rng(32)
+        code = fit_local_code(rng.standard_normal((2, 20)), h=4,
+                              source_sensors=("W",))
+        back = local_code_from_text(local_code_to_text(code))
+        columns = rng.standard_normal((2, 15))
+        assert np.array_equal(
+            assign_nearest(code.clustering, columns),
+            assign_nearest(back.clustering, columns),
+        )
+
     def test_bad_magic(self):
-        with pytest.raises(ValueError, match="gaitpass-localcode"):
+        with pytest.raises(DataError, match="gaitpass-codebook v2"):
             local_code_from_text("gaitpass-codebook v1\n")

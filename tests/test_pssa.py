@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaitpass.errors import DataError
 from gaitpass.pssa import (
     ProportionMatrix,
     SystemStateTable,
@@ -84,12 +85,6 @@ class TestCoverageAndSelection:
     def test_pool_curve_ends_at_one(self):
         curve = coverage_curve(self.table())
         assert np.allclose(curve, [0.5, 0.8, 1.0])
-
-    def test_distinct_denominator(self):
-        curve = coverage_curve(self.table(), denominator="distinct")
-        assert np.allclose(curve, [5 / 3, 8 / 3, 10 / 3])
-        with pytest.raises(ValueError):
-            coverage_curve(self.table(), denominator="?")
 
     def test_select_by_count(self):
         pss = select_pss(self.table(), n_states=2)
@@ -266,7 +261,9 @@ class TestTrainAndClassify:
         train, test = split_alternating(sigma)
         model = train_key_pss(train)
         assert model.training_accuracy == 1.0
-        assert classification_accuracy(model, test) == 1.0
+        assert classification_accuracy(
+            classify_matrix(model, test), test.subjects
+        ) == 1.0
         assert all(not r.fallback for r in classify_matrix(model, test))
 
 
@@ -319,5 +316,5 @@ class TestSigmaArtifacts:
         assert model_to_text(back) == text
 
     def test_model_bad_magic(self):
-        with pytest.raises(ValueError, match="gaitpass-keypss"):
+        with pytest.raises(DataError, match="gaitpass-keypss"):
             model_from_text("other\n")

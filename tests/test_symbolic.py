@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitpass.errors import DataError
 from gaitpass.ingest import AXES, TimeSeriesFrame
 from gaitpass.symbolic import (
     StateVectorSequence,
@@ -145,5 +146,5 @@ def test_roundtrip_text():
 
 
 def test_from_text_rejects_other_files():
-    with pytest.raises(ValueError, match="gaitpass-ternary"):
+    with pytest.raises(DataError, match="gaitpass-ternary"):
         coding_from_text("something else\n")
