@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -27,12 +28,13 @@ from . import __version__
 from .complexity import SymbolSequence, couple_naive, lz76_complexity
 from .config import RunConfig, file_sha256, load_config
 from .errors import ConfigError, DataError, GaitError
-from .hca import LINKAGES, cluster_columns
+from .hca import LINKAGES, cut_columns, link_columns
 from .ingest import TimeSeriesFrame, load_hugadb, load_marea, synthesize_walker
 from .l1g2 import (
     couple,
     encode_subsystem,
     fit_local_code,
+    fit_stride,
     local_code_to_text,
     stack_lr,
 )
@@ -65,7 +67,7 @@ from .pssa import (
     split_alternating,
     train_key_pss,
 )
-from .svgfig import get_palette, render_heatmap, render_line_chart
+from .svgfig import PALETTES, get_palette, render_heatmap, render_line_chart
 from .symbolic import (
     coding_to_text,
     encode_ternary,
@@ -189,7 +191,7 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     alpha, beta = _get_alpha_beta(config)
     sweep = config.get_list("complexity.h_sweep", list(range(2, 28)))
     if not sweep or not all(
-        isinstance(h, int) and 1 <= h <= triplet.n_samples for h in sweep
+        type(h) is int and 1 <= h <= triplet.n_samples for h in sweep
     ):
         raise ConfigError(
             "complexity.h_sweep: expected integers within the window length"
@@ -223,11 +225,10 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     naive_lz = lz76_complexity(naive)
     rows.append(("ternary-coupled", naive.alphabet_size, naive_lz))
 
+    tree = link_columns(triplet.values, linkage=linkage, standardize=standardize)
     cluster_lz: list[int] = []
     for h in sweep:
-        _, labels = cluster_columns(
-            triplet.values, h, linkage=linkage, standardize=standardize
-        )
+        _, labels = cut_columns(tree, h)
         seq = SymbolSequence(
             symbols=labels,
             alphabet_size=h,
@@ -251,6 +252,14 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         title=f"{name}/{sensor}: coding complexity",
     )
     return {"complexity_table.tsv": tsv, "complexity_chart.svg": chart}, inputs
+
+
+def _check_h(key: str, h: int, n_columns: int, max_fit: int) -> None:
+    fitted = math.ceil(n_columns / fit_stride(n_columns, max_fit))
+    if h > fitted:
+        raise ConfigError(
+            f"{key}: {h} clusters exceed the {fitted} columns the code book fits"
+        )
 
 
 def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
@@ -277,6 +286,9 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
         ) from None
 
     stacked = stack_lr(left_t, right_t)
+    _check_h("hca.h_feet", h_feet, stacked.shape[1], max_fit)
+    for trip in extra_t:
+        _check_h("hca.h_extra", h_extra, trip.n_samples, max_fit)
     feet_code = fit_local_code(
         stacked,
         h_feet,
@@ -313,7 +325,7 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
             "cycles.recurrence_weight", 1.0, lo=0.0
         ),
     )
-    partition = partition_cycles(coupled, lm)
+    partition = partition_cycles(stats, lm)
     return coupled, partition, codes, labels
 
 
@@ -533,7 +545,9 @@ def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Ring and cylinder views of a persisted passtensor."""
     path = config.get_str("render.passtensor")
     pt = load_passtensor(path)
-    palette = get_palette(config.get_str("render.palette", "default"))
+    palette = get_palette(
+        config.get_str("render.palette", "default", choices=sorted(PALETTES))
+    )
     view = config.get_str(
         "render.view", "unrolled", choices=("unrolled", "isometric", "both")
     )

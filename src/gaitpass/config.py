@@ -14,18 +14,27 @@ import yaml
 
 from .errors import ConfigError
 
-KNOWN_SECTIONS = (
-    "dataset",
-    "window",
-    "coding",
-    "pssa",
-    "hca",
-    "complexity",
-    "cycles",
-    "passtensor",
-    "render",
-    "output_dir",
-)
+# The keys each section may hold; None marks a section that is a value
+# itself.  ``dataset.subjects`` is free-form below its own level.
+KNOWN_KEYS = {
+    "dataset": (
+        "kind", "subjects", "cycles", "period_mean", "period_jitter",
+        "sensors", "noise", "phases", "activity",
+    ),
+    "window": None,
+    "coding": ("alpha", "beta"),
+    "pssa": (
+        "n_states", "coverage", "segment_length", "max_keys", "model", "coding",
+    ),
+    "hca": ("h_feet", "h_extra", "linkage", "standardize", "max_fit_columns"),
+    "complexity": ("sensor", "h_sweep"),
+    "cycles": ("left", "right", "extra", "min_runs", "recurrence_weight"),
+    "passtensor": (
+        "bins", "cycle_range", "trim_edges", "compare", "skeleton_weight",
+    ),
+    "render": ("passtensor", "palette", "view", "ring_cycle"),
+    "output_dir": None,
+}
 
 _MISSING = object()
 
@@ -36,11 +45,23 @@ class RunConfig:
     def __init__(self, data: dict, source: Path | None = None):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        unknown = sorted(set(data) - set(KNOWN_SECTIONS))
+        unknown = sorted(set(data) - set(KNOWN_KEYS))
         if unknown:
             raise ConfigError(
-                f"unknown config keys {unknown}; known: {list(KNOWN_SECTIONS)}"
+                f"unknown config keys {unknown}; known: {list(KNOWN_KEYS)}"
             )
+        for section, keys in KNOWN_KEYS.items():
+            body = data.get(section)
+            if keys is None or body is None:
+                continue
+            if not isinstance(body, dict):
+                raise ConfigError(f"{section}: expected a mapping, got {body!r}")
+            for key in body:
+                if key not in keys:
+                    raise ConfigError(
+                        f"unknown config key {section}.{key}; "
+                        f"{section} holds {list(keys)}"
+                    )
         self.data = data
         self.source = source
 

@@ -3,11 +3,14 @@
 Columns (time points, as d-dimensional readings) are merged bottom-up under
 a chosen linkage rule; cutting the merge tree where exactly H clusters
 remain yields the cluster vocabulary used as a data-driven code book.
+There is one linkage per matrix (``link_columns``), cut at any H in linear
+time (``cut_columns``) with partitions identical to scipy's ``cut_tree``.
 Cluster ids are relabeled so id 0 is the most populous cluster.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +70,56 @@ class ColumnClustering:
         return self.centroids.shape[1]
 
 
-def cluster_columns(
-    matrix: np.ndarray,
-    h: int,
-    linkage: str = "ward",
-    standardize: bool = True,
-) -> tuple[ColumnClustering, np.ndarray]:
-    """Fit an H-cluster column clustering of a d x N matrix.
+@dataclass(frozen=True, eq=False)
+class ColumnTree:
+    """One linkage of a d x N column matrix, ready to be cut at any H.
+
+    ``merges`` is scipy's (N-1) x 4 linkage matrix over the standardized
+    columns; ``cut_order`` lists its rows in the order ``cut_tree`` applies
+    them (by height, ties in reverse breadth-first order from the root),
+    so cutting at H applies the first N-H of them.
+    """
+
+    matrix: np.ndarray
+    merges: np.ndarray
+    cut_order: np.ndarray
+    linkage: str
+    row_mean: np.ndarray
+    row_std: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.matrix, self.merges, self.cut_order,
+                    self.row_mean, self.row_std):
+            arr.flags.writeable = False
+
+
+def _cut_order(merges: np.ndarray) -> np.ndarray:
+    # scipy's _order_cluster_tree walks the tree breadth-first from the
+    # root (right child queued before left) and bisect.insort_left-s each
+    # node by height, so equal heights end up in reverse walk order.
+    n = merges.shape[0] + 1
+    children = merges[:, :2].astype(np.int64).tolist()
+    walk = []
+    queue = deque([n - 2])
+    while queue:
+        row = queue.popleft()
+        walk.append(row)
+        for child in reversed(children[row]):
+            if child >= n:
+                queue.append(child - n)
+    walk = np.array(walk[::-1], dtype=np.int64)
+    return walk[np.argsort(merges[walk, 2], kind="stable")]
+
+
+def link_columns(
+    matrix: np.ndarray, linkage: str = "ward", standardize: bool = True
+) -> ColumnTree:
+    """Link the columns of a d x N matrix once, for cutting at any H.
 
     Rows are optionally standardized to zero mean and unit variance before
-    distances are computed (constant rows keep unit scale); the merge tree
-    is cut where exactly ``h`` clusters remain.  Cluster ids come out in
-    decreasing size order, ties broken by earliest member column.  Returns
-    the code book and the N fitted columns' cluster ids.
+    distances are computed (constant rows keep unit scale).
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.array(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
         raise ValueError("matrix must be d x N with d, N >= 1")
     if not np.all(np.isfinite(matrix)):
@@ -92,8 +130,6 @@ def cluster_columns(
             f"{n} columns exceeds the fit ceiling of {MAX_FIT_COLUMNS}; "
             "subsample and backfill with assign_nearest"
         )
-    if not 1 <= h <= n:
-        raise ValueError(f"need 1 <= h <= {n}, got h={h}")
     if linkage not in LINKAGES:
         raise ValueError(f"linkage {linkage!r} not in {LINKAGES}")
 
@@ -107,20 +143,54 @@ def cluster_columns(
     observations = ((matrix - row_mean[:, None]) / row_std[:, None]).T
 
     if n == 1:
-        raw_labels = np.zeros(1, dtype=np.int64)
+        merges = np.zeros((0, 4))
+        cut_order = np.zeros(0, dtype=np.int64)
     else:
         merges = hierarchy.linkage(observations, method=linkage)
-        raw_labels = hierarchy.cut_tree(merges, n_clusters=h).ravel()
+        cut_order = _cut_order(merges)
+    return ColumnTree(
+        matrix=matrix,
+        merges=merges,
+        cut_order=cut_order,
+        linkage=linkage,
+        row_mean=row_mean,
+        row_std=row_std,
+    )
+
+
+def cut_columns(tree: ColumnTree, h: int) -> tuple[ColumnClustering, np.ndarray]:
+    """Cut a column tree where exactly ``h`` clusters remain.
+
+    The partition equals ``scipy.cluster.hierarchy.cut_tree``'s at every
+    H, ties in merge height included, in time linear in N (up to a log
+    factor for the root lookup).  Cluster ids come out in decreasing size
+    order, ties broken by earliest member column.  Returns the code book
+    and the N fitted columns' cluster ids.
+    """
+    matrix = tree.matrix
+    d, n = matrix.shape
+    if not 1 <= h <= n:
+        raise ValueError(f"need 1 <= h <= {n}, got h={h}")
+
+    # Apply the first N-h merges as parent pointers over all 2N-1 nodes,
+    # then double the pointers until every node points at its root.
+    parent = np.arange(2 * n - 1)
+    applied = tree.cut_order[: n - h]
+    children = tree.merges[applied, :2].astype(np.int64)
+    parent[children] = (applied + n)[:, None]
+    while True:
+        grandparent = parent[parent]
+        if np.array_equal(grandparent, parent):
+            break
+        parent = grandparent
 
     # Relabel so cluster 0 is the largest; ties go to the cluster whose
     # first member column appears earliest.
-    ids, first_seen, counts = np.unique(
-        raw_labels, return_index=True, return_counts=True
+    _, first_seen, raw_labels, counts = np.unique(
+        parent[:n], return_index=True, return_inverse=True, return_counts=True
     )
-    order = sorted(range(len(ids)), key=lambda k: (-counts[k], first_seen[k]))
-    remap = np.empty(len(ids), dtype=np.int64)
-    for new_id, k in enumerate(order):
-        remap[ids[k]] = new_id
+    remap = np.empty(h, dtype=np.int64)
+    remap[np.lexsort((first_seen, -counts))] = np.arange(h)
     labels = remap[raw_labels]
 
     centroids = np.zeros((h, d))
@@ -134,11 +204,25 @@ def cluster_columns(
         h=h,
         centroids=centroids,
         sizes=sizes,
-        linkage=linkage,
-        row_mean=row_mean,
-        row_std=row_std,
+        linkage=tree.linkage,
+        row_mean=tree.row_mean,
+        row_std=tree.row_std,
     )
     return clustering, labels
+
+
+def cluster_columns(
+    matrix: np.ndarray,
+    h: int,
+    linkage: str = "ward",
+    standardize: bool = True,
+) -> tuple[ColumnClustering, np.ndarray]:
+    """Fit an H-cluster column clustering of a d x N matrix.
+
+    One ``link_columns`` then one ``cut_columns``; link once and cut
+    repeatedly to fit several H on the same matrix.
+    """
+    return cut_columns(link_columns(matrix, linkage, standardize), h)
 
 
 def assign_nearest(clustering: ColumnClustering, columns: np.ndarray) -> np.ndarray:

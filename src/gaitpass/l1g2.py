@@ -83,6 +83,13 @@ def stack_lr(left: SensorTriplet, right: SensorTriplet) -> np.ndarray:
     return np.concatenate([left.values, right.values], axis=1)
 
 
+def fit_stride(n_columns: int, max_fit_columns: int | None) -> int:
+    """Take every k-th column into a fit so that at most ``max_fit_columns`` are."""
+    if max_fit_columns is None or n_columns <= max_fit_columns:
+        return 1
+    return math.ceil(n_columns / max_fit_columns)
+
+
 def fit_local_code(
     stacked: np.ndarray,
     h: int = 10,
@@ -116,20 +123,15 @@ def fit_local_code(
             f"window {window} does not span the {block_len}-column blocks"
         )
 
-    subsampled = False
-    fit_matrix = stacked
-    if max_fit_columns is not None and stacked.shape[1] > max_fit_columns:
-        stride = math.ceil(stacked.shape[1] / max_fit_columns)
-        fit_matrix = stacked[:, ::stride]
-        subsampled = True
+    stride = fit_stride(stacked.shape[1], max_fit_columns)
     clustering, _ = cluster_columns(
-        fit_matrix, h, linkage=linkage, standardize=standardize
+        stacked[:, ::stride], h, linkage=linkage, standardize=standardize
     )
     return LocalCode(
         clustering=clustering,
         source_sensors=tuple(source_sensors),
         window=window,
-        subsampled=subsampled,
+        subsampled=stride > 1,
     )
 
 

@@ -162,20 +162,20 @@ class CyclePartition:
 
 
 def partition_cycles(
-    seq: CoupledStateSequence, landmark: tuple[int, ...]
+    stats: RunStatistics, landmark: tuple[int, ...]
 ) -> CyclePartition:
-    """Cut the sequence at each run start of ``landmark``.
+    """Cut a run-length encoded sequence at each run start of ``landmark``.
 
     Samples before the first start and from the last start onward are not
     cycles; they are reported as head and tail remainders.
     """
     landmark = tuple(int(v) for v in landmark)
-    if len(landmark) != seq.arity:
+    arity = len(stats.run_order[0])
+    if len(landmark) != arity:
         raise ValueError(
             f"landmark arity {len(landmark)} does not match sequence "
-            f"arity {seq.arity}"
+            f"arity {arity}"
         )
-    stats = run_statistics(seq)
     runs = stats.per_state.get(landmark)
     if runs is None or runs.run_count < 2:
         raise ValueError(
@@ -192,10 +192,10 @@ def partition_cycles(
             for i in range(boundaries.shape[0] - 1)
         ),
         head=(0, int(boundaries[0])),
-        tail=(int(boundaries[-1]), seq.n_samples),
+        tail=(int(boundaries[-1]), stats.length),
         period_mean=float(np.mean(lengths)),
         period_sd=math.sqrt(_sample_variance(lengths)),
-        length=seq.n_samples,
+        length=stats.length,
     )
 
 

@@ -44,7 +44,7 @@ def _run_pipeline(walk):
     )
     stats = run_statistics(coupled)
     landmark = select_landmark(stats)
-    partition = partition_cycles(coupled, landmark)
+    partition = partition_cycles(stats, landmark)
     return SimpleNamespace(
         walk=walk,
         frame=frame,

@@ -75,8 +75,8 @@ def walker_pipeline(walk, h=10):
         [encode_subsystem(code, left), encode_subsystem(code, right)],
         labels=["S0", "S1"],
     )
-    landmark = select_landmark(run_statistics(coupled))
-    return partition_cycles(coupled, landmark)
+    stats = run_statistics(coupled)
+    return partition_cycles(stats, select_landmark(stats))
 
 
 def test_criterion_1_lz76_matches_oracle(criterion_log):
@@ -286,8 +286,8 @@ def test_criterion_6_cycle_statistics(criterion_log):
         [encode_subsystem(code, left), encode_subsystem(code, right)],
         labels=["LF", "RF"],
     )
-    landmark = select_landmark(run_statistics(coupled), min_runs=5)
-    partition = partition_cycles(coupled, landmark)
+    stats = run_statistics(coupled)
+    partition = partition_cycles(stats, select_landmark(stats, min_runs=5))
     ok = (
         abs(partition.n_cycles - 77) <= 2
         and abs(partition.period_mean - 127.56) <= 3.0

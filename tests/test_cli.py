@@ -280,6 +280,67 @@ class TestFailureModes:
             "error"] == "config"
 
 
+# Mistakes the user fixes in the config: each exits 2 naming the key, even
+# those only checkable against the loaded window.  The WALK window stacks
+# 1,288 columns; a 100-column cap fits every 13th, so 100 of them.
+CONFIG_MISTAKES = {
+    "misspelt_key": (["hca.hfeet=3"], "unknown config key hca.hfeet"),
+    "misspelt_section_key": (["cycles.min_run=3"], "cycles.min_run"),
+    "h_feet_above_window": (["hca.h_feet=5000"], "hca.h_feet: 5000"),
+    "h_extra_above_window": (
+        ["cycles.extra=[S0]", "hca.h_extra=645"], "hca.h_extra: 645"
+    ),
+    "h_feet_above_subsample": (
+        ["hca.max_fit_columns=100", "hca.h_feet=101"], "the 100 columns"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, named", CONFIG_MISTAKES.values(), ids=list(CONFIG_MISTAKES)
+)
+def test_config_mistake_exit_2(overrides, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["cycles", "-c", config_file(tmp_path, WALK), "-o", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "config"
+    assert named in message["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep", ["[true, 3]", "[2, 645]", "[]"])
+def test_bad_complexity_sweep_exit_2(sweep, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["complexity", "-c", config_file(tmp_path, WALK),
+                 "-o", str(out), "--set", f"complexity.h_sweep={sweep}"]) == 2
+    message = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert "complexity.h_sweep" in message["message"]
+    assert not out.exists()
+
+
+def test_h_equal_to_fitted_columns_runs(tmp_path):
+    cfg = config_file(tmp_path, WALK)
+    assert main(["cycles", "-c", cfg, "-o", str(tmp_path / "out"),
+                 "--set", "hca.max_fit_columns=100",
+                 "--set", "hca.h_feet=100"]) == 0
+
+
+def test_unknown_palette_exit_2(persisted_files, tmp_path, capsys):
+    text = (f"render:\n  passtensor: {persisted_files['passtensor.txt']}\n"
+            "  palette: nosuch\n")
+    out = tmp_path / "out"
+    assert main(["render", "-c", config_file(tmp_path, text), "-o", str(out)]) == 2
+    message = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert message["error"] == "config"
+    assert "render.palette" in message["message"]
+    assert not out.exists()
+
+
 def header_cut(text):
     return "".join(text.splitlines(keepends=True)[:3])
 

@@ -1,8 +1,12 @@
 """Config loading, typed getters, overrides, hashing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from gaitpass.config import RunConfig, file_sha256, load_config
+from gaitpass import cli
+from gaitpass.config import KNOWN_KEYS, RunConfig, file_sha256, load_config
 from gaitpass.errors import ConfigError
 
 
@@ -77,6 +81,36 @@ class TestGetters:
             RunConfig({"dataset": {}, "typo_section": 1})
         with pytest.raises(ConfigError, match="root must be a mapping"):
             RunConfig([1, 2])
+
+
+class TestSchema:
+    def test_unknown_key_in_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown config key hca\.hfeet") as err:
+            RunConfig({"hca": {"hfeet": 3}})
+        assert "h_feet" in str(err.value)
+
+    def test_misspelt_override_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"coding\.alpah"):
+            load_config(write_config(tmp_path, SAMPLE), ["coding.alpah=0.2"])
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="hca: expected a mapping"):
+            RunConfig({"hca": 3})
+        assert RunConfig({"hca": None}).get_int("hca.h_feet", 10) == 10
+
+    def test_subjects_are_free_form(self):
+        cfg = RunConfig({"dataset": {"subjects": {"a": {"seed": 1, "any": 2}}}})
+        assert cfg.get_map("dataset.subjects")["a"]["any"] == 2
+
+    def test_schema_lists_exactly_the_keys_the_cli_reads(self):
+        source = Path(cli.__file__).read_text()
+        read = set(re.findall(r'config\.get_\w+\(\s*"(\w+\.\w+)"', source))
+        known = {
+            f"{section}.{key}"
+            for section, keys in KNOWN_KEYS.items()
+            for key in keys or ()
+        }
+        assert read == known
 
 
 class TestOverrides:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster import hierarchy
 
 from gaitpass.hca import (
     LINKAGES,
@@ -11,6 +12,8 @@ from gaitpass.hca import (
     ColumnClustering,
     assign_nearest,
     cluster_columns,
+    cut_columns,
+    link_columns,
 )
 from oracles import (
     agglomerate_literal,
@@ -123,6 +126,74 @@ class TestClusterColumns:
             cluster_columns(np.zeros((2, 5)), 2, linkage="single")
         with pytest.raises(ValueError, match="ceiling"):
             cluster_columns(np.zeros((1, MAX_FIT_COLUMNS + 1)), 2)
+
+
+def tied_matrices():
+    """Matrices whose merge heights tie: the cases a row-order cut gets wrong."""
+    rng = np.random.default_rng(27)
+    repeated = rng.standard_normal((2, 12))
+    return {
+        "integer_grid": rng.integers(0, 4, size=(2, 60)).astype(float),
+        "repeated_columns": np.concatenate([repeated] * 4, axis=1),
+        "rounded": np.round(rng.standard_normal((3, 50)), 1),
+    }
+
+
+class TestCutColumns:
+    @pytest.mark.parametrize("kind", ["integer_grid", "repeated_columns", "rounded"])
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_matches_scipy_cut_tree_at_every_h(self, linkage, kind):
+        matrix = tied_matrices()[kind]
+        tree = link_columns(matrix, linkage=linkage)
+        n = matrix.shape[1]
+        for h in range(1, n + 1):
+            _, got = cut_columns(tree, h)
+            want = hierarchy.cut_tree(tree.merges, n_clusters=h).ravel()
+            assert partition_of_assignments(got) == \
+                partition_of_assignments(want), h
+
+    def test_one_tree_cut_at_a_sweep_equals_separate_fits(self):
+        matrix = tied_matrices()["integer_grid"]
+        tree = link_columns(matrix)
+        for h in [5, 2, 5, 27]:
+            cut, labels = cut_columns(tree, h)
+            fit, fit_labels = cluster_columns(matrix, h)
+            assert np.array_equal(labels, fit_labels)
+            for field in ("centroids", "sizes", "row_mean", "row_std"):
+                assert np.array_equal(getattr(cut, field), getattr(fit, field))
+            assert (cut.h, cut.linkage) == (fit.h, fit.linkage)
+
+    def test_single_column_tree(self):
+        tree = link_columns(np.array([[2.0], [5.0]]))
+        assert tree.merges.shape == (0, 4)
+        clustering, labels = cut_columns(tree, 1)
+        assert labels.tolist() == [0]
+        assert clustering.centroids.tolist() == [[2.0, 5.0]]
+
+    def test_h_one_and_h_n(self):
+        matrix = tied_matrices()["repeated_columns"]
+        tree = link_columns(matrix)
+        n = matrix.shape[1]
+        _, one = cut_columns(tree, 1)
+        assert one.tolist() == [0] * n
+        _, each = cut_columns(tree, n)
+        assert sorted(each.tolist()) == list(range(n))
+        # equal sizes, so ids follow first appearance
+        assert each.tolist() == list(range(n))
+
+    def test_h_outside_tree_rejected(self):
+        tree = link_columns(np.zeros((2, 5)))
+        for h in (0, 6):
+            with pytest.raises(ValueError, match="need 1 <= h <= 5"):
+                cut_columns(tree, h)
+
+    def test_tree_is_frozen_and_owns_its_matrix(self):
+        matrix = np.arange(8.0).reshape(2, 4)
+        tree = link_columns(matrix)
+        matrix[0, 0] = 99.0
+        assert tree.matrix[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            tree.cut_order[0] = 1
 
 
 class TestAssignNearest:

@@ -119,7 +119,7 @@ class TestSelectLandmark:
 class TestPartitionCycles:
     def test_hand_case(self):
         seq = coupled([7, 1, 1, 7, 2, 2, 2, 7, 1, 2])
-        part = partition_cycles(seq, (7,))
+        part = partition_cycles(run_statistics(seq), (7,))
         assert part.boundaries.tolist() == [0, 3, 7]
         assert part.cycles == ((0, 3), (3, 7))
         assert part.head == (0, 0)
@@ -131,31 +131,31 @@ class TestPartitionCycles:
 
     def test_head_before_first_landmark(self):
         seq = coupled([1, 1, 7, 2, 7, 2])
-        part = partition_cycles(seq, (7,))
+        part = partition_cycles(run_statistics(seq), (7,))
         assert part.head == (0, 2)
         assert part.boundaries.tolist() == [2, 4]
 
     def test_arity_mismatch(self):
         seq = coupled(np.array([[1, 2], [3, 4]]), h=9)
         with pytest.raises(ValueError, match="arity"):
-            partition_cycles(seq, (1,))
+            partition_cycles(run_statistics(seq), (1,))
 
     def test_needs_two_runs(self):
         seq = coupled([7, 7, 1, 1])
         with pytest.raises(ValueError, match="at least 2"):
-            partition_cycles(seq, (7,))
+            partition_cycles(run_statistics(seq), (7,))
         with pytest.raises(ValueError, match="at least 2"):
-            partition_cycles(seq, (9,))
+            partition_cycles(run_statistics(seq), (9,))
 
     def test_consecutive_landmark_runs_not_merged(self):
         # a landmark run interrupted by one sample yields two run starts
         seq = coupled([7, 7, 1, 7, 7, 2, 7])
-        part = partition_cycles(seq, (7,))
+        part = partition_cycles(run_statistics(seq), (7,))
         assert part.boundaries.tolist() == [0, 3, 6]
 
     def test_tsv(self):
         seq = coupled([7, 1, 7, 2, 2, 7])
-        text = cycles_to_tsv(partition_cycles(seq, (7,)))
+        text = cycles_to_tsv(partition_cycles(run_statistics(seq), (7,)))
         assert text == "cycle\tstart\tlength\n0\t0\t2\n1\t2\t3\n"
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gaitpass.errors import CodeBookMismatchError, DataError
 from gaitpass.l1g2 import CoupledStateSequence
-from gaitpass.landmark import partition_cycles
+from gaitpass.landmark import partition_cycles, run_statistics
 from gaitpass.passtensor import (
     MIN_BINS,
     Passtensor,
@@ -56,7 +56,7 @@ def periodic_pipeline(n_cycles=6, period=24, h=6):
     block = np.repeat(np.arange(6), period // 6)[:period]
     codes = np.tile(block, n_cycles)
     seq = coupled_of(codes, h=h)
-    partition = partition_cycles(seq, (0,))
+    partition = partition_cycles(run_statistics(seq), (0,))
     return seq, partition
 
 
