@@ -139,10 +139,8 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
             frames[str(name)] = load_hugadb(path, str(name))
             inputs.append(path)
 
-    window = config.get_list("window", None)
+    window = config.get_int_pair("window", None)
     if window is not None:
-        if len(window) != 2 or not all(isinstance(v, int) for v in window):
-            raise ConfigError("window: expected [start, stop] sample indices")
         frames = {
             name: frame.window(window[0], window[1])
             for name, frame in frames.items()
@@ -378,14 +376,8 @@ def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     name, frame, inputs = _single_frame(config)
     coupled, partition, codes, labels = _cycles_pipeline(config, frame)
     bins = config.get_int("passtensor.bins", 128, lo=8)
-    cycle_range = config.get_list("passtensor.cycle_range", None)
+    cycle_range = config.get_int_pair("passtensor.cycle_range", None)
     if cycle_range is not None:
-        if len(cycle_range) != 2 or not all(
-            isinstance(v, int) for v in cycle_range
-        ):
-            raise ConfigError(
-                "passtensor.cycle_range: expected [first, last] (1-based)"
-            )
         cycle_range = (cycle_range[0], cycle_range[1])
     trim_edges = config.get_bool("passtensor.trim_edges", False)
     combined_id = hashlib.sha256(
@@ -418,7 +410,9 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         raise ConfigError("pssa-train needs at least two subjects")
     alpha, beta = _get_alpha_beta(config)
     n_states = config.get_int("pssa.n_states", None, lo=1)
-    coverage = config.get_float("pssa.coverage", None, lo=0.0, hi=1.0)
+    coverage = config.get_float("pssa.coverage", None)
+    if coverage is not None and not 0.0 < coverage <= 1.0:
+        raise ConfigError(f"pssa.coverage: {coverage} must lie in (0, 1]")
     if (n_states is None) == (coverage is None):
         raise ConfigError("give exactly one of pssa.n_states or pssa.coverage")
     segment_length = config.get_int("pssa.segment_length", 1000, lo=1)

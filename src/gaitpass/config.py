@@ -128,6 +128,15 @@ class RunConfig:
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         return value
 
+    def get_int_pair(self, path: str, default=_MISSING) -> list[int]:
+        """A two-integer list such as ``[start, stop]``; booleans are refused."""
+        value = self.get_list(path, default)
+        if value is not None and (
+            len(value) != 2 or not all(type(v) is int for v in value)
+        ):
+            raise ConfigError(f"{path}: expected two integers, got {value!r}")
+        return value
+
     def get_map(self, path: str, default=_MISSING) -> dict:
         value = self._require(path, default)
         if value is not None and not isinstance(value, dict):

@@ -5,6 +5,10 @@ one sample per row), plus a synthetic walker generator whose ground-truth
 cycle boundaries are returned alongside the signal.  All loaders produce a
 :class:`TimeSeriesFrame`: a dense D x T matrix of axis readings with one
 ``(sensor, axis)`` label per row.
+
+A dataset table is parsed in one compiled pass (``np.loadtxt``).  Only a
+table that pass rejects is read again line by line, which returns the same
+rows or names the failing line and column.
 """
 
 from __future__ import annotations
@@ -244,7 +248,43 @@ def _parse_table(text: str) -> tuple[list[str] | None, np.ndarray]:
     row contains any non-numeric token it is taken as a header.  Returns
     ``(header_tokens_or_None, rows_as_2d_float_array)``.  Malformed content
     raises :class:`DataError` naming the offending line.
+
+    The rows are parsed in one ``np.loadtxt`` call, whose numbers come from
+    the same ``PyOS_string_to_double`` that ``float()`` uses.  Whatever it
+    rejects or reads differently (comment lines, a line of bare commas,
+    underscores or non-ASCII digits in a number, ragged rows, non-finite
+    values, no rows) goes to :func:`_parse_table_by_line`, which returns
+    the same table or names the failing line.
     """
+    lines = text.replace(",", " ").splitlines()
+    content = (i for i, line in enumerate(lines) if line.strip())
+    first = next(content, None)
+    if first is None or lines[first].lstrip().startswith("#"):
+        return _parse_table_by_line(text)
+    header: list[str] | None = lines[first].split()
+    if all(_is_number(token) for token in header):
+        header = None
+    elif next(content, None) is None:  # a header and no rows
+        return _parse_table_by_line(text)
+    else:
+        first += 1
+    # a line of bare commas is a row of no values, not a blank line
+    if "," in text and any(
+        line.strip() and not line.replace(",", " ").strip()
+        for line in text.splitlines()
+    ):
+        return _parse_table_by_line(text)
+    try:
+        data = np.loadtxt(lines[first:], dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return _parse_table_by_line(text)
+    if not np.all(np.isfinite(data)):
+        return _parse_table_by_line(text)
+    return header, data
+
+
+def _parse_table_by_line(text: str) -> tuple[list[str] | None, np.ndarray]:
+    """:func:`_parse_table` one line and one token at a time."""
     header: list[str] | None = None
     rows: list[list[float]] = []
     width = -1

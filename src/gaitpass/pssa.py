@@ -70,12 +70,13 @@ def build_state_table(seqs: list[StateVectorSequence]) -> SystemStateTable:
         if seq.n_dims != d:
             raise ValueError(f"dimension mismatch: {seq.n_dims} vs {d}")
     pooled = np.concatenate([seq.states for seq in seqs], axis=0)
-    states, counts = np.unique(pooled, axis=0, return_counts=True)
-    # np.unique returns rows in lexicographic order, so a stable sort on
-    # descending count keeps the lexicographic tie rule.
+    keys, counts = np.unique(_row_keys(pooled), return_counts=True)
+    # Void keys compare bytewise, so np.unique returns the rows in
+    # lexicographic order and a stable sort on descending count keeps the
+    # lexicographic tie rule.
     order = np.argsort(-counts, kind="stable")
     return SystemStateTable(
-        states=states[order],
+        states=keys[order].view(np.uint8).reshape(-1, d),
         frequencies=counts[order],
         pool_size=pooled.shape[0],
     )
@@ -113,8 +114,10 @@ def select_pss(
     return table.states[:n_states].copy()
 
 
-def _state_index(pss: np.ndarray) -> dict[bytes, int]:
-    return {row.tobytes(): j for j, row in enumerate(np.ascontiguousarray(pss))}
+def _row_keys(states: np.ndarray) -> np.ndarray:
+    """One opaque ``V{D}`` key per row of a ``uint8`` state matrix."""
+    states = np.ascontiguousarray(states, dtype=np.uint8)
+    return states.view(f"V{states.shape[1]}").ravel()
 
 
 def segment_proportions(
@@ -137,23 +140,20 @@ def segment_proportions(
             f"sequence has {seq.n_samples} samples, shorter than one "
             f"segment of {segment_length}"
         )
-    index = _state_index(pss)
-    states = np.ascontiguousarray(seq.states)
-    codes = np.fromiter(
-        (index.get(states[t].tobytes(), -1) for t in range(seq.n_samples)),
-        dtype=np.int64,
-        count=seq.n_samples,
-    )
     n_segments = seq.n_samples // segment_length
-    rows = np.zeros((n_segments, pss.shape[0]))
-    for i in range(n_segments):
-        chunk = codes[i * segment_length : (i + 1) * segment_length]
-        hits = chunk[chunk >= 0]
-        if hits.size:
-            rows[i] = np.bincount(hits, minlength=pss.shape[0]) / float(
-                segment_length
-            )
-    return rows
+    keys = _row_keys(pss)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    samples = _row_keys(seq.states[: n_segments * segment_length])
+    # A state listed twice in pss counts towards its last listing.
+    right = np.searchsorted(sorted_keys, samples, side="right")
+    hit = right > np.searchsorted(sorted_keys, samples, side="left")
+    codes = order[right[hit] - 1]
+    segments = np.flatnonzero(hit) // segment_length
+    counts = np.bincount(
+        segments * pss.shape[0] + codes, minlength=n_segments * pss.shape[0]
+    )
+    return counts.reshape(n_segments, pss.shape[0]) / float(segment_length)
 
 
 @dataclass(frozen=True, eq=False)

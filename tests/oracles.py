@@ -1,9 +1,10 @@
 """Slow, literal reference implementations used to cross-check the library.
 
 Every function here transcribes the defining procedure as directly as
-possible and shares no code with the production modules.  Tests treat
-agreement between the two sides on randomized inputs as evidence for
-both.  Where numba is installed the phrase counter is jitted, since the
+possible and shares no code with the production modules (the table
+parser raises the library's ``DataError``, so messages compare directly).
+Tests treat agreement between the two sides on randomized inputs as
+evidence for both.  Where numba is installed the phrase counter is jitted, since the
 acceptance sweep calls it a thousand times on long sequences.
 """
 
@@ -13,6 +14,8 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from gaitpass.errors import DataError
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +233,90 @@ def total_variation_literal(a, b) -> float:
 def bin_centers_literal(length: int, bins: int) -> list[int]:
     """Integer-arithmetic phase-bin sample offsets into a cycle."""
     return [(2 * b + 1) * length // (2 * bins) for b in range(bins)]
+
+
+# ---------------------------------------------------------------------------
+# dataset tables and principle system states: the per-line and per-row
+# versions the library used before it parsed and counted in whole arrays
+# ---------------------------------------------------------------------------
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_table_by_line(text: str):
+    """``(header or None, rows)`` of a numeric table, one token at a time.
+
+    Blank and ``#`` lines are skipped; a first content row holding any
+    non-numeric token is the header.  Errors are :class:`DataError`s whose
+    messages name the line (and column) at fault.
+    """
+    header = None
+    rows = []
+    width = -1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.replace(",", " ").split()
+        if header is None and not rows and any(not _is_float(t) for t in tokens):
+            header = tokens
+            continue
+        values = []
+        for col, token in enumerate(tokens, start=1):
+            if not _is_float(token):
+                raise DataError(
+                    f"line {lineno}, column {col}: non-numeric value {token!r}"
+                )
+            values.append(float(token))
+        if width == -1:
+            width = len(values)
+        elif len(values) != width:
+            raise DataError(
+                f"line {lineno}: {len(values)} columns, expected {width}"
+            )
+        rows.append(values)
+    if not rows:
+        raise DataError("no data rows")
+    data = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        bad = int(np.argwhere(~np.all(np.isfinite(data), axis=1))[0, 0])
+        raise DataError(f"non-finite value in data row {bad + 1}")
+    return header, data
+
+
+def state_table_by_rows(pooled):
+    """Distinct rows ranked by count, ties lexicographic: ``(states, counts)``."""
+    states, counts = np.unique(np.asarray(pooled), axis=0, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    return states[order], counts[order]
+
+
+def segment_proportions_by_dict(states, pss, segment_length: int) -> np.ndarray:
+    """Occupancy per full segment, each sample looked up in a row dict.
+
+    A row listed twice in ``pss`` counts towards its last listing.
+    """
+    index = {
+        row.tobytes(): j
+        for j, row in enumerate(np.ascontiguousarray(pss, dtype=np.uint8))
+    }
+    states = np.ascontiguousarray(states, dtype=np.uint8)
+    codes = np.array(
+        [index.get(states[t].tobytes(), -1) for t in range(states.shape[0])],
+        dtype=np.int64,
+    )
+    n_segments = states.shape[0] // segment_length
+    rows = np.zeros((n_segments, np.asarray(pss).shape[0]))
+    for i in range(n_segments):
+        chunk = codes[i * segment_length : (i + 1) * segment_length]
+        hits = chunk[chunk >= 0]
+        if hits.size:
+            rows[i] = np.bincount(hits, minlength=rows.shape[1]) / float(
+                segment_length
+            )
+    return rows

@@ -313,6 +313,44 @@ def test_config_mistake_exit_2(overrides, named, tmp_path, capsys):
     assert not out.exists()
 
 
+# Values a looser check used to pass on: a boolean is not a sample index
+# (window=[true, 600] cut from sample 1), and a zero or NaN coverage failed
+# only later, as a precondition (exit 4).
+LOOSE_VALUES = {
+    "window_bool": ("cycles", WALK, "window=[true, 600]", "window"),
+    "window_one_index": ("cycles", WALK, "window=[5]", "window"),
+    "cycle_range_bool": (
+        "passtensor-build", WALK, "passtensor.cycle_range=[1, true]",
+        "passtensor.cycle_range",
+    ),
+    "coverage_zero": ("pssa-train", PAIR, "pssa.coverage=0", "pssa.coverage"),
+    "coverage_nan": ("pssa-train", PAIR, "pssa.coverage=.nan", "pssa.coverage"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, text, assignment, named", LOOSE_VALUES.values(),
+    ids=list(LOOSE_VALUES),
+)
+def test_loose_value_exit_2(command, text, assignment, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "-c", config_file(tmp_path, text), "-o", str(out),
+                 "--set", assignment]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "config"
+    assert message["message"].startswith(named + ":")
+    assert not out.exists()
+
+
+def test_window_of_two_indices_runs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["cycles", "-c", config_file(tmp_path, WALK), "-o", str(out),
+                 "--set", "window=[0, 600]"]) == 0
+    assert read_manifest(out)["parameters"]["window"] == [0, 600]
+
+
 @pytest.mark.parametrize("sweep", ["[true, 3]", "[2, 645]", "[]"])
 def test_bad_complexity_sweep_exit_2(sweep, tmp_path, capsys):
     out = tmp_path / "out"

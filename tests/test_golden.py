@@ -2,9 +2,10 @@
 
 Criterion 8 compares two reruns of one build.  These sha256 digests were
 recorded from an earlier build, so a change between versions in cluster
-labels, cycle cuts or tensor text fails here even when each build is
-self-consistent.  They were recorded with numpy 2.4 and scipy 1.17; update
-them only together with a deliberate change of output, and say so.
+labels, cycle cuts, tensor text, key-state models or segment
+classifications fails here even when each build is self-consistent.  They
+were recorded with numpy 2.4 and scipy 1.17; update them only together
+with a deliberate change of output, and say so.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import hashlib
 import pytest
 
 from gaitpass.cli import main
+from gaitpass.ingest import synthesize_walker
 from test_acceptance import WALK_CFG
 
 FULL_SWEEP = "complexity.h_sweep=[" + ", ".join(map(str, range(2, 28))) + "]"
@@ -44,3 +46,63 @@ def test_artifact_bytes_match_recorded_digest(run, tmp_path):
     out = tmp_path / "out"
     assert main([command, "-c", str(cfg), "-o", str(out)] + extra) == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+
+
+# The identification path: pssa-train, then pssa-classify, over three
+# headerless 12-column MAREA text files written from synthetic walkers.
+IDENTIFY_GOLDEN = {
+    "model.txt": (
+        "train",
+        "da9210e006ed18ca53cf0f5414caad0d324d92d672c472c21364c60628634ff0",
+    ),
+    "sigma_train.tsv": (
+        "train",
+        "0d39899919eaac811e7d41a486fe19cc455a2d020665d7f7b13e6903fe224a2a",
+    ),
+    "sigma_test.tsv": (
+        "train",
+        "13efc5c047521e8b273730538f77de2273d98c46888babb2033a598cf6a4972a",
+    ),
+    "classifications.tsv": (
+        "classify",
+        "6e583b89f1bc1d4286ff38e975f1549257b31d57713e1199a2b9dd159fcb83bc",
+    ),
+}
+
+
+def marea_text(values) -> str:
+    """One sample per row, twelve space-separated columns."""
+    return "".join(" ".join("%.6f" % v for v in row) + "\n" for row in values.T)
+
+
+@pytest.fixture(scope="module")
+def identify_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("identify")
+    dataset = "dataset:\n  kind: marea\n  subjects:\n"
+    for k in range(3):
+        walk = synthesize_walker(
+            seed=40 + k, cycles=24, period_mean=64.0, period_jitter=1.0,
+            sensors=4, offset=0.25 * k,
+        )
+        path = root / f"subject{k}.txt"
+        path.write_text(marea_text(walk.frame.values))
+        dataset += f"    s{k}: {path}\n"
+    pssa = "pssa:\n  coverage: 0.95\n  segment_length: 100\n"
+    train_cfg = root / "train.yaml"
+    train_cfg.write_text(dataset + pssa)
+    classify_cfg = root / "classify.yaml"
+    classify_cfg.write_text(
+        dataset + pssa + f"  model: {root / 'train' / 'model.txt'}\n"
+        f"  coding: {root / 'train' / 'coding.txt'}\n"
+    )
+    assert main(["pssa-train", "-c", str(train_cfg), "-o", str(root / "train")]) == 0
+    assert main(["pssa-classify", "-c", str(classify_cfg),
+                 "-o", str(root / "classify")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("artifact", IDENTIFY_GOLDEN)
+def test_identify_artifact_bytes_match_recorded_digest(artifact, identify_runs):
+    run, digest = IDENTIFY_GOLDEN[artifact]
+    data = (identify_runs / run / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -1,7 +1,11 @@
 """Frame containers, dataset text loaders, and the synthetic walker."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaitpass.errors import DataError
 from gaitpass.ingest import (
@@ -9,10 +13,12 @@ from gaitpass.ingest import (
     MAREA_SAMPLE_RATE_HZ,
     MARKER_LEVEL,
     TimeSeriesFrame,
+    _parse_table,
     load_hugadb,
     load_marea,
     synthesize_walker,
 )
+from oracles import parse_table_by_line
 
 
 def make_frame(rows=3, samples=8, sensors=("A",)):
@@ -218,6 +224,93 @@ class TestLoadMarea:
         path.write_text("# only a comment\n")
         with pytest.raises(DataError, match="no data rows"):
             load_marea(path, "s")
+
+
+def parse_outcome(parse, text):
+    """A parser's header and array bytes, or its error message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            header, data = parse(text)
+        except DataError as exc:
+            return "DataError", str(exc)
+    return header, data.shape, data.dtype.str, data.tobytes()
+
+
+PLAIN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-20.0, 20.0).map(lambda v: "%.6f" % v),
+    st.integers(-(10**6), 10**6).map(str),
+)
+ODD_TOKENS = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e400", "-1e-400", "1_0", "\u0661\u0662",
+    "+.5", "-0", ".5e3", "0x10", "1.5j", "oops", "LF_X", "#", "#1",
+])
+TOKENS = st.one_of(PLAIN_NUMBERS, PLAIN_NUMBERS, PLAIN_NUMBERS, ODD_TOKENS)
+GAPS = st.sampled_from([" ", "\t", ",", ", ", " ,", "  ", ",,", "\xa0"])
+EXTRA_LINES = st.sampled_from([
+    "", "   ", "\t", "# note", "  # 1 2", ",", " , ,", "h1 h2", "1,,2",
+])
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028"])
+
+
+@st.composite
+def tables(draw):
+    """Table text mixing rows, a header, ragged rows, odd tokens and lines."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(" ".join(f"c{i}" for i in range(width)))
+    for _ in range(draw(st.integers(0, 6))):
+        count = width if draw(st.integers(0, 7)) else draw(st.integers(1, 5))
+        tokens = draw(st.lists(TOKENS, min_size=count, max_size=count))
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += draw(GAPS) + token
+        lines.append(draw(st.sampled_from(["", " ", ","])) + line)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(EXTRA_LINES))
+    text = ""
+    for line in lines:
+        text += line + draw(BREAKS)
+    return text
+
+
+class TestParseTable:
+    @settings(max_examples=400, deadline=None)
+    @given(text=tables())
+    @example(text=",,,\n1 2\n")
+    @example(text="1 2\n , \n3 4\n")
+    @example(text=",#x\n1 2\n")
+    @example(text="# c\nh1 h2\n1 2\n")
+    @example(text="h1 h2\n\n  \n")
+    @example(text="1 2\r\n# c\x0c3 4\n")
+    def test_matches_per_line_parser(self, text):
+        assert parse_outcome(_parse_table, text) == parse_outcome(
+            parse_table_by_line, text
+        )
+
+    @pytest.mark.parametrize("text", [
+        "1 2\n3 4\n", "a,b\n1,2\n3,4", "\n\n5\n6\n", "1_0 2\n",
+        "\u0661 2\n", "# c\n1 2\n",
+    ])
+    def test_rows_read_back(self, text):
+        _, data = _parse_table(text)
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert parse_outcome(_parse_table, text) == parse_outcome(
+            parse_table_by_line, text
+        )
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no data rows"),
+        ("h1 h2\n", "no data rows"),
+        ("1 2\n3 x\n", "line 2, column 2: non-numeric value 'x'"),
+        ("1 2\n\n3\n", "line 3: 1 columns, expected 2"),
+        ("1 2\n3 1e400\n", "non-finite value in data row 2"),
+        ("h\n1\n,\n", "line 3: 0 columns, expected 1"),
+    ])
+    def test_errors_name_the_line(self, text, message):
+        assert parse_outcome(_parse_table, text) == ("DataError", message)
 
 
 HUGADB_ACC = [

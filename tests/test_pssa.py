@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitpass.errors import DataError
 from gaitpass.pssa import (
@@ -24,7 +26,11 @@ from gaitpass.pssa import (
     train_key_pss,
 )
 from gaitpass.symbolic import StateVectorSequence
-from oracles import segment_proportions_literal
+from oracles import (
+    segment_proportions_by_dict,
+    segment_proportions_literal,
+    state_table_by_rows,
+)
 
 
 def svs(rows):
@@ -137,6 +143,48 @@ class TestSegmentProportions:
             segment_proportions(seq, pss, 0)
         with pytest.raises(ValueError, match="matching"):
             segment_proportions(seq, np.array([[1, 1, 1]], dtype=np.uint8), 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(1, 24),
+    lengths=st.lists(st.integers(1, 150), min_size=1, max_size=3),
+    pool=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_and_proportions_match_row_oracles(d, lengths, pool, seed):
+    """Void-keyed counting equals per-row ranking and per-sample lookup."""
+    rng = np.random.default_rng(seed)
+    common = rng.integers(1, 4, size=(pool, d))
+    seqs = []
+    for n in lengths:
+        rows = np.where(
+            rng.random((n, 1)) < 0.8,
+            common[rng.integers(0, pool, n)],
+            rng.integers(1, 4, size=(n, d)),
+        )
+        # column-major states exercise the contiguous copy
+        seqs.append(svs(np.asfortranarray(rows) if n % 2 else rows))
+    table = build_state_table(seqs)
+    states, counts = state_table_by_rows(
+        np.concatenate([seq.states for seq in seqs])
+    )
+    assert table.states.dtype == np.uint8
+    assert np.array_equal(table.states, states)
+    assert np.array_equal(table.frequencies, counts)
+
+    # ranked states, one of them listed twice, then random, mostly unseen ones
+    pss = np.concatenate([
+        table.states[: rng.integers(0, table.n_states + 1)],
+        table.states[rng.integers(0, table.n_states, 1)],
+        rng.integers(1, 4, size=(rng.integers(0, 3), d)).astype(np.uint8),
+    ])
+    seq = seqs[0]
+    length = int(rng.integers(1, seq.n_samples + 1))
+    got = segment_proportions(seq, pss, length)
+    want = segment_proportions_by_dict(seq.states, pss, length)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def two_subject_sigma():
