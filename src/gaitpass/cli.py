@@ -26,7 +26,13 @@ import scipy
 
 from . import __version__
 from .complexity import SymbolSequence, couple_naive, lz76_complexity
-from .config import RunConfig, file_sha256, load_config
+from .config import (
+    RunConfig,
+    checked_float,
+    checked_int,
+    file_sha256,
+    load_config,
+)
 from .errors import ConfigError, DataError, GaitError
 from .hca import LINKAGES, cut_columns, link_columns
 from .ingest import TimeSeriesFrame, load_hugadb, load_marea, synthesize_walker
@@ -98,18 +104,17 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
         noise = config.get_float("dataset.noise", 0.03, lo=0.0)
         phases = config.get_int("dataset.phases", 6, lo=2)
         for name, entry in subjects_map.items():
+            key = f"dataset.subjects.{name}"
             if not isinstance(entry, dict) or "seed" not in entry:
-                raise ConfigError(
-                    f"dataset.subjects.{name}: need a mapping with a seed"
-                )
+                raise ConfigError(f"{key}: need a mapping with a seed")
             walk = synthesize_walker(
-                seed=int(entry["seed"]),
+                seed=checked_int(f"{key}.seed", entry["seed"], lo=0),
                 cycles=cycles,
                 period_mean=period,
                 period_jitter=jitter,
                 sensors=sensors,
                 noise=noise,
-                offset=float(entry.get("offset", 0.0)),
+                offset=checked_float(f"{key}.offset", entry.get("offset", 0.0)),
                 phases=phases,
             )
             base = walk.frame
@@ -504,8 +509,10 @@ def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 def cmd_passtensor_compare(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Skeleton/stochastic comparison of two persisted passtensors."""
     paths = config.get_list("passtensor.compare")
-    if not paths or len(paths) != 2:
-        raise ConfigError("passtensor.compare: expected [path_a, path_b]")
+    if len(paths) != 2 or not all(isinstance(p, str) for p in paths):
+        raise ConfigError(
+            f"passtensor.compare: expected [path_a, path_b], got {paths!r}"
+        )
     weight = config.get_float("passtensor.skeleton_weight", 0.7, lo=0.0, hi=1.0)
     a = load_passtensor(paths[0])
     b = load_passtensor(paths[1])

@@ -99,28 +99,11 @@ class RunConfig:
 
     def get_int(self, path: str, default=_MISSING, lo=None, hi=None) -> int:
         value = self._require(path, default)
-        if value is None:
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        if lo is not None and value < lo:
-            raise ConfigError(f"{path}: {value} below minimum {lo}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{path}: {value} above maximum {hi}")
-        return value
+        return value if value is None else checked_int(path, value, lo, hi)
 
     def get_float(self, path: str, default=_MISSING, lo=None, hi=None) -> float:
         value = self._require(path, default)
-        if value is None:
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        value = float(value)
-        if lo is not None and value < lo:
-            raise ConfigError(f"{path}: {value} below minimum {lo}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{path}: {value} above maximum {hi}")
-        return value
+        return value if value is None else checked_float(path, value, lo, hi)
 
     def get_list(self, path: str, default=_MISSING) -> list:
         value = self._require(path, default)
@@ -146,6 +129,28 @@ class RunConfig:
     def manifest_parameters(self) -> dict:
         """Resolved config without the output directory."""
         return {k: v for k, v in self.data.items() if k != "output_dir"}
+
+
+def checked_int(path: str, value, lo=None, hi=None) -> int:
+    """``value`` if it is an integer in ``[lo, hi]``; booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return _in_range(path, value, lo, hi)
+
+
+def checked_float(path: str, value, lo=None, hi=None) -> float:
+    """``value`` as a float if it is a number in ``[lo, hi]``; not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return _in_range(path, float(value), lo, hi)
+
+
+def _in_range(path: str, value, lo, hi):
+    if lo is not None and value < lo:
+        raise ConfigError(f"{path}: {value} below minimum {lo}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{path}: {value} above maximum {hi}")
+    return value
 
 
 def _apply_override(data: dict, assignment: str) -> None:

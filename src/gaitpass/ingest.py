@@ -6,9 +6,9 @@ cycle boundaries are returned alongside the signal.  All loaders produce a
 :class:`TimeSeriesFrame`: a dense D x T matrix of axis readings with one
 ``(sensor, axis)`` label per row.
 
-A dataset table is parsed in one compiled pass (``np.loadtxt``).  Only a
-table that pass rejects is read again line by line, which returns the same
-rows or names the failing line and column.
+A dataset table follows one grammar (``docs/file-formats.md``, "Input
+tables") and is read by one ``np.loadtxt`` call; a table it rejects is
+walked line by line only to name the failing line and column.
 """
 
 from __future__ import annotations
@@ -241,82 +241,79 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _parse_table(text: str) -> tuple[list[str] | None, np.ndarray]:
-    """Parse a whitespace- or comma-delimited numeric table.
+def _table_line(line: str) -> str:
+    """A ``#`` line as a blank one, other commas as spaces.
 
-    Blank lines and ``#`` comment lines are skipped.  If the first content
-    row contains any non-numeric token it is taken as a header.  Returns
-    ``(header_tokens_or_None, rows_as_2d_float_array)``.  Malformed content
-    raises :class:`DataError` naming the offending line.
-
-    The rows are parsed in one ``np.loadtxt`` call, whose numbers come from
-    the same ``PyOS_string_to_double`` that ``float()`` uses.  Whatever it
-    rejects or reads differently (comment lines, a line of bare commas,
-    underscores or non-ASCII digits in a number, ragged rows, non-finite
-    values, no rows) goes to :func:`_parse_table_by_line`, which returns
-    the same table or names the failing line.
+    A line of bare commas keeps them, so that it stays a row (of no values)
+    and ``np.loadtxt`` rejects it.
     """
-    lines = text.replace(",", " ").splitlines()
+    if line.lstrip().startswith("#"):
+        return ""
+    spaced = line.replace(",", " ")
+    return spaced if spaced.strip() else line
+
+
+def _parse_table(text: str) -> tuple[list[str] | None, np.ndarray]:
+    """Parse a dataset table (``docs/file-formats.md``, "Input tables").
+
+    Values are ASCII decimal floats separated by commas or whitespace, and
+    repeated separators collapse.  Blank lines and lines whose first
+    non-blank character is ``#`` are skipped.  The first remaining line is
+    a header if it holds a token ``float()`` rejects.  Every other line is
+    a row; all rows hold the same number of values, at least one, and every
+    value is finite.  Returns ``(header_tokens_or_None, rows_as_2d_array)``.
+
+    The rows are read by one ``np.loadtxt`` call.  When it rejects them,
+    :func:`_table_error` names the first line at fault.
+    """
+    lines = text.splitlines()
+    if "#" in text or "," in text:
+        lines = [_table_line(line) for line in lines]
     content = (i for i, line in enumerate(lines) if line.strip())
     first = next(content, None)
-    if first is None or lines[first].lstrip().startswith("#"):
-        return _parse_table_by_line(text)
-    header: list[str] | None = lines[first].split()
-    if all(_is_number(token) for token in header):
-        header = None
-    elif next(content, None) is None:  # a header and no rows
-        return _parse_table_by_line(text)
-    else:
-        first += 1
-    # a line of bare commas is a row of no values, not a blank line
-    if "," in text and any(
-        line.strip() and not line.replace(",", " ").strip()
-        for line in text.splitlines()
-    ):
-        return _parse_table_by_line(text)
+    header = None
+    if first is not None:
+        # a line of bare commas is a row of no values, never a header
+        tokens = lines[first].replace(",", " ").split()
+        if not all(_is_number(token) for token in tokens):
+            header, first = tokens, next(content, None)
+    if first is None:
+        raise DataError("no data rows")
     try:
         data = np.loadtxt(lines[first:], dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        return _parse_table_by_line(text)
-    if not np.all(np.isfinite(data)):
-        return _parse_table_by_line(text)
-    return header, data
-
-
-def _parse_table_by_line(text: str) -> tuple[list[str] | None, np.ndarray]:
-    """:func:`_parse_table` one line and one token at a time."""
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    width = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.replace(",", " ").split()
-        if header is None and not rows and any(not _is_number(t) for t in tokens):
-            header = tokens
-            continue
-        values = []
-        for col, token in enumerate(tokens, start=1):
-            if not _is_number(token):
-                raise DataError(
-                    f"line {lineno}, column {col}: non-numeric value {token!r}"
-                )
-            values.append(float(token))
-        if width == -1:
-            width = len(values)
-        elif len(values) != width:
-            raise DataError(
-                f"line {lineno}: {len(values)} columns, expected {width}"
-            )
-        rows.append(values)
-    if not rows:
-        raise DataError("no data rows")
-    data = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise _table_error(lines, first, exc) from None
     if not np.all(np.isfinite(data)):
         bad = int(np.argwhere(~np.all(np.isfinite(data), axis=1))[0, 0])
         raise DataError(f"non-finite value in data row {bad + 1}")
     return header, data
+
+
+def _table_error(lines: list[str], first: int, exc: ValueError) -> DataError:
+    """The error for the first of ``lines[first:]`` outside the grammar.
+
+    ``lines`` are :func:`_parse_table`'s, one per line of the text; when
+    none breaks the grammar, the error carries ``np.loadtxt``'s message.
+    """
+    width = None
+    for lineno, line in enumerate(lines[first:], start=first + 1):
+        if not line.strip():
+            continue
+        tokens = line.replace(",", " ").split()
+        for col, token in enumerate(tokens, start=1):
+            # np.loadtxt reads what float() reads, minus "_" and non-ASCII
+            if "_" in token or not token.isascii() or not _is_number(token):
+                return DataError(
+                    f"line {lineno}, column {col}: non-numeric value {token!r}"
+                )
+        if width is not None and len(tokens) != width:
+            return DataError(
+                f"line {lineno}: {len(tokens)} columns, expected {width}"
+            )
+        if not tokens:
+            return DataError(f"line {lineno}: no values")
+        width = len(tokens)
+    return DataError(f"unreadable table: {exc}")
 
 
 def _split_channel_token(token: str) -> tuple[str, str] | None:

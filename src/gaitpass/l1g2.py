@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import SymbolSequence, couple_naive
+from .complexity import SymbolSequence
 from .hca import ColumnClustering, assign_nearest, cluster_columns
 from .ingest import LineReader, SensorTriplet
 
@@ -176,18 +176,6 @@ class CoupledStateSequence:
     @property
     def arity(self) -> int:
         return self.codes.shape[1]
-
-    def project(self, j: int) -> SymbolSequence:
-        """Recover component j as a plain symbol sequence."""
-        return SymbolSequence(
-            symbols=self.codes[:, j],
-            alphabet_size=self.h_per_subsystem[j],
-            provenance="hca-cluster",
-        )
-
-    def as_product(self) -> SymbolSequence:
-        """Flatten tuples to single symbols over the product alphabet."""
-        return couple_naive([self.project(j) for j in range(self.arity)])
 
 
 def couple(

@@ -241,20 +241,6 @@ def compare_passtensors(
     )
 
 
-def decision_threshold(
-    genuine_distances, percentile: float = 95.0
-) -> float:
-    """Accept/reject cutoff: a percentile of genuine-vs-genuine distances."""
-    distances = np.asarray(list(genuine_distances), dtype=float)
-    if distances.size < 2:
-        raise ValueError("need at least two genuine distances to calibrate")
-    return float(np.percentile(distances, percentile))
-
-
-def authenticate(diff: PasstensorDiff, threshold: float) -> bool:
-    return diff.distance <= threshold
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

@@ -200,10 +200,6 @@ class ProportionMatrix:
     def n_states(self) -> int:
         return self.proportions.shape[1]
 
-    def subject_rows(self, subject: str) -> np.ndarray:
-        mask = np.array([s == subject for s in self.subjects])
-        return self.proportions[mask]
-
 
 def build_proportion_matrix(
     seqs_by_subject: dict[str, StateVectorSequence | list[StateVectorSequence]],

@@ -8,6 +8,7 @@ import pytest
 
 from gaitpass.cli import main
 from gaitpass.config import file_sha256
+from gaitpass.ingest import HUGADB_SENSORS, synthesize_walker
 from gaitpass.passtensor import Passtensor, passtensor_to_text
 
 WALK = """\
@@ -146,6 +147,31 @@ class TestPssa:
         manifest = read_manifest(cls_out)
         assert str(train_out / "model.txt") in manifest["inputs"]
         assert str(train_out / "coding.txt") in manifest["inputs"]
+
+    def test_train_on_hugadb_files(self, tmp_path):
+        # HuGaDB v1 layout: '#' lines, then a tab-separated header and rows
+        acc = [f"acc_{loc}_{axis}" for loc in HUGADB_SENSORS for axis in "xyz"]
+        subjects = ""
+        for name, seed in (("ann", 11), ("bob", 12)):
+            walk = synthesize_walker(seed=seed, cycles=10, period_mean=64.0,
+                                     period_jitter=1.0, sensors=6)
+            rows = ["\t".join(f"{v:.6f}" for v in sample) + "\t1"
+                    for sample in walk.frame.values.T]
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(
+                ["#Activity\twalking", "#ActivityID\t1", "#Date\t2017-01-01",
+                 "\t".join(acc + ["act"])] + rows) + "\n")
+            subjects += f"    {name}: {path}\n"
+        cfg = config_file(tmp_path, (
+            "dataset:\n  kind: hugadb\n  subjects:\n" + subjects
+            + "pssa:\n  coverage: 0.95\n  segment_length: 100\n"
+        ))
+        out = tmp_path / "model"
+        assert main(["pssa-train", "-c", cfg, "-o", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_subjects"] == 2
+        assert report["train_rows"] == report["test_rows"] == 6
+        assert str(tmp_path / "ann.txt") in read_manifest(out)["inputs"]
 
     def test_train_needs_two_subjects(self, tmp_path, capsys):
         cfg = config_file(tmp_path, WALK + "pssa:\n  coverage: 0.9\n")
@@ -314,8 +340,10 @@ def test_config_mistake_exit_2(overrides, named, tmp_path, capsys):
 
 
 # Values a looser check used to pass on: a boolean is not a sample index
-# (window=[true, 600] cut from sample 1), and a zero or NaN coverage failed
-# only later, as a precondition (exit 4).
+# (window=[true, 600] cut from sample 1), a zero or NaN coverage failed
+# only later, as a precondition (exit 4), a subject seed of 1.7 ran as 1,
+# and passtensor.compare: [1, 2] crashed opening Path(1).
+SEED = "dataset.subjects.walkerA.seed"
 LOOSE_VALUES = {
     "window_bool": ("cycles", WALK, "window=[true, 600]", "window"),
     "window_one_index": ("cycles", WALK, "window=[5]", "window"),
@@ -325,6 +353,18 @@ LOOSE_VALUES = {
     ),
     "coverage_zero": ("pssa-train", PAIR, "pssa.coverage=0", "pssa.coverage"),
     "coverage_nan": ("pssa-train", PAIR, "pssa.coverage=.nan", "pssa.coverage"),
+    "seed_fraction": ("cycles", WALK, f"{SEED}=1.7", SEED),
+    "seed_text": ("cycles", WALK, f"{SEED}=abc", SEED),
+    "seed_bool": ("cycles", WALK, f"{SEED}=true", SEED),
+    "seed_negative": ("cycles", WALK, f"{SEED}=-1", SEED),
+    "offset_text": (
+        "cycles", WALK, "dataset.subjects.walkerA.offset=x",
+        "dataset.subjects.walkerA.offset",
+    ),
+    "compare_not_paths": (
+        "passtensor-compare", "", "passtensor.compare=[1, 2]",
+        "passtensor.compare",
+    ),
 }
 
 

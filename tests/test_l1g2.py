@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitpass.complexity import SymbolSequence, couple_naive
+from gaitpass.complexity import SymbolSequence
 from gaitpass.errors import DataError
 from gaitpass.hca import assign_nearest
 from gaitpass.ingest import AXES, TimeSeriesFrame
@@ -140,18 +140,8 @@ class TestCoupledStateSequence:
         assert coupled.arity == 2
         assert coupled.subsystem_labels == ("L", "R")
         assert coupled.h_per_subsystem == (3, 2)
-        assert np.array_equal(coupled.project(0).symbols, a.symbols)
-        assert np.array_equal(coupled.project(1).symbols, b.symbols)
-
-    def test_as_product_matches_naive_coupling(self):
-        rng = np.random.default_rng(59)
-        a = seq_of(rng.integers(0, 5, 30), 5)
-        b = seq_of(rng.integers(0, 3, 30), 3)
-        coupled = couple([a, b], labels=["L", "R"])
-        product = coupled.as_product()
-        naive = couple_naive([a, b])
-        assert np.array_equal(product.symbols, naive.symbols)
-        assert product.alphabet_size == 15
+        assert np.array_equal(coupled.codes[:, 0], a.symbols)
+        assert np.array_equal(coupled.codes[:, 1], b.symbols)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -181,7 +171,8 @@ class TestCoupledStateSequence:
         b = seq_of([p[1] for p in data], 3)
         coupled = couple([a, b], labels=["x", "y"])
         again = couple(
-            [coupled.project(0), coupled.project(1)], labels=["x", "y"]
+            [seq_of(coupled.codes[:, 0], 4), seq_of(coupled.codes[:, 1], 3)],
+            labels=["x", "y"],
         )
         assert np.array_equal(again.codes, coupled.codes)
 

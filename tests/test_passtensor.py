@@ -9,10 +9,8 @@ from gaitpass.landmark import partition_cycles, run_statistics
 from gaitpass.passtensor import (
     MIN_BINS,
     Passtensor,
-    authenticate,
     build_passtensor,
     compare_passtensors,
-    decision_threshold,
     load_passtensor,
     normalize_cycle,
     passtensor_from_text,
@@ -307,25 +305,6 @@ class TestCompare:
         assert mixed.distance == pytest.approx(
             0.7 * skel_only.distance + 0.3 * stoch_only.distance, abs=1e-12
         )
-
-
-class TestDecision:
-    def test_threshold_is_percentile(self):
-        distances = [0.01, 0.02, 0.03, 0.2]
-        assert decision_threshold(distances, 95.0) == pytest.approx(
-            float(np.percentile(distances, 95.0))
-        )
-        with pytest.raises(ValueError, match="two genuine"):
-            decision_threshold([0.1])
-
-    def test_authenticate_boundary(self):
-        rng = np.random.default_rng(92)
-        pt = tensor_of(rng.integers(0, 6, size=(4, 1, 8)))
-        diff = compare_passtensors(pt, pt)
-        assert authenticate(diff, 0.0)
-        worse = compare_passtensors(pt, perturb(pt, [(0, 0, 0)]))
-        assert not authenticate(worse, 0.0)
-        assert authenticate(worse, worse.distance)
 
 
 class TestPersistence:

@@ -210,7 +210,8 @@ class TestProportionMatrix:
         assert sigma.subjects[:3] == ("a", "a", "a")
         # list entries keep one running segment counter per subject
         assert sigma.segment_indices == (0, 1, 2, 0, 1, 2, 3)
-        assert sigma.subject_rows("b").shape == (4, 4)
+        assert sigma.subjects.count("b") == 4
+        assert sigma.n_states == 4
 
     def test_split_alternating(self):
         sigma = two_subject_sigma()
