@@ -34,7 +34,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, DataError, GaitError
-from .hca import LINKAGES, cut_columns, link_columns
+from .hca import cut_columns, link_columns
 from .ingest import TimeSeriesFrame, load_hugadb, load_marea, synthesize_walker
 from .l1g2 import (
     couple,
@@ -73,7 +73,7 @@ from .pssa import (
     split_alternating,
     train_key_pss,
 )
-from .svgfig import PALETTES, get_palette, render_heatmap, render_line_chart
+from .svgfig import DEFAULT_PALETTE, render_heatmap, render_line_chart
 from .symbolic import (
     coding_to_text,
     encode_ternary,
@@ -107,6 +107,12 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
             key = f"dataset.subjects.{name}"
             if not isinstance(entry, dict) or "seed" not in entry:
                 raise ConfigError(f"{key}: need a mapping with a seed")
+            unknown = sorted(set(entry) - {"seed", "offset"}, key=str)
+            if unknown:
+                raise ConfigError(
+                    f"{key}.{unknown[0]}: unknown key; a subject holds seed "
+                    "and offset"
+                )
             walk = synthesize_walker(
                 seed=checked_int(f"{key}.seed", entry["seed"], lo=0),
                 cycles=cycles,
@@ -117,31 +123,21 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
                 offset=checked_float(f"{key}.offset", entry.get("offset", 0.0)),
                 phases=phases,
             )
-            base = walk.frame
-            frames[str(name)] = TimeSeriesFrame(
-                values=base.values,
-                channels=base.channels,
-                sample_rate_hz=base.sample_rate_hz,
-                subject_id=str(name),
-                activity="synthetic",
-            )
+            frames[str(name)] = walk.frame
     elif kind == "marea":
         sensor_list = config.get_list(
             "dataset.sensors", ["LF", "RF", "Waist", "Wrist"]
         )
-        activity = config.get_str("dataset.activity", "")
         for name, path in subjects_map.items():
             if not isinstance(path, str):
                 raise ConfigError(f"dataset.subjects.{name}: expected a file path")
-            frames[str(name)] = load_marea(
-                path, str(name), tuple(sensor_list), activity
-            )
+            frames[str(name)] = load_marea(path, tuple(sensor_list))
             inputs.append(path)
     else:
         for name, path in subjects_map.items():
             if not isinstance(path, str):
                 raise ConfigError(f"dataset.subjects.{name}: expected a file path")
-            frames[str(name)] = load_hugadb(path, str(name))
+            frames[str(name)] = load_hugadb(path)
             inputs.append(path)
 
     window = config.get_int_pair("window", None)
@@ -199,17 +195,12 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         raise ConfigError(
             "complexity.h_sweep: expected integers within the window length"
         )
-    linkage = config.get_str("hca.linkage", "ward", choices=LINKAGES)
     standardize = config.get_bool("hca.standardize", True)
 
     coding = fit_ternary([triplet.frame], alpha, beta)
     states = encode_ternary(triplet.frame, coding).states
     axis_seqs = [
-        SymbolSequence(
-            symbols=states[:, d].astype(np.int64) - 1,
-            alphabet_size=3,
-            provenance="ternary",
-        )
+        SymbolSequence(symbols=states[:, d].astype(np.int64) - 1, alphabet_size=3)
         for d in range(3)
     ]
     rows: list[tuple[str, int, int]] = []
@@ -221,23 +212,17 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         symbols=((resultant > a_cut).astype(np.int64)
                  + (resultant > b_cut).astype(np.int64)),
         alphabet_size=3,
-        provenance="ternary",
     )
     rows.append(("ternary-resultant", 3, lz76_complexity(res_seq)))
     naive = couple_naive(axis_seqs)
     naive_lz = lz76_complexity(naive)
     rows.append(("ternary-coupled", naive.alphabet_size, naive_lz))
 
-    tree = link_columns(triplet.values, linkage=linkage, standardize=standardize)
+    tree = link_columns(triplet.values, standardize=standardize)
     cluster_lz: list[int] = []
     for h in sweep:
         _, labels = cut_columns(tree, h)
-        seq = SymbolSequence(
-            symbols=labels,
-            alphabet_size=h,
-            provenance="hca-cluster",
-        )
-        value = lz76_complexity(seq)
+        value = lz76_complexity(SymbolSequence(symbols=labels, alphabet_size=h))
         cluster_lz.append(value)
         rows.append((f"cluster-{h}", h, value))
 
@@ -275,7 +260,6 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
     extra = config.get_list("cycles.extra", [])
     h_feet = config.get_int("hca.h_feet", 10, lo=1)
     h_extra = config.get_int("hca.h_extra", 8, lo=1)
-    linkage = config.get_str("hca.linkage", "ward", choices=LINKAGES)
     standardize = config.get_bool("hca.standardize", True)
     max_fit = config.get_int("hca.max_fit_columns", 20000, lo=8)
 
@@ -296,7 +280,6 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
         stacked,
         h_feet,
         source_sensors=(left, right),
-        linkage=linkage,
         standardize=standardize,
         max_fit_columns=max_fit,
     )
@@ -311,7 +294,6 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
             trip.values,
             h_extra,
             source_sensors=(trip.name,),
-            linkage=linkage,
             standardize=standardize,
             max_fit_columns=max_fit,
         )
@@ -546,9 +528,6 @@ def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Ring and cylinder views of a persisted passtensor."""
     path = config.get_str("render.passtensor")
     pt = load_passtensor(path)
-    palette = get_palette(
-        config.get_str("render.palette", "default", choices=sorted(PALETTES))
-    )
     view = config.get_str(
         "render.view", "unrolled", choices=("unrolled", "isometric", "both")
     )
@@ -562,15 +541,17 @@ def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
             f"render.ring_cycle: {ring_cycle} outside 0..{pt.n_cycles - 1}"
         )
     artifacts = {
-        "rings.svg": render_rings(grid, palette, ring_labels=pt.ring_labels)
+        "rings.svg": render_rings(
+            grid, DEFAULT_PALETTE, ring_labels=pt.ring_labels
+        )
     }
     if view in ("unrolled", "both"):
         artifacts["cylinder_unrolled.svg"] = render_cylinder(
-            pt, palette, view="unrolled"
+            pt, DEFAULT_PALETTE, view="unrolled"
         )
     if view in ("isometric", "both"):
         artifacts["cylinder_isometric.svg"] = render_cylinder(
-            pt, palette, view="isometric"
+            pt, DEFAULT_PALETTE, view="isometric"
         )
     return artifacts, [path]
 

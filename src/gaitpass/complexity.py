@@ -14,8 +14,6 @@ from math import prod
 
 import numpy as np
 
-PROVENANCES = ("ternary", "hca-cluster", "coupled")
-
 
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
@@ -23,7 +21,6 @@ class SymbolSequence:
 
     symbols: np.ndarray
     alphabet_size: int
-    provenance: str
 
     def __post_init__(self) -> None:
         symbols = np.array(self.symbols)
@@ -36,10 +33,6 @@ class SymbolSequence:
         if symbols.min() < 0 or symbols.max() >= self.alphabet_size:
             raise ValueError(
                 f"symbols must lie in [0, {self.alphabet_size})"
-            )
-        if self.provenance not in PROVENANCES:
-            raise ValueError(
-                f"provenance {self.provenance!r} not in {PROVENANCES}"
             )
         symbols = symbols.astype(np.int64)
         symbols.flags.writeable = False
@@ -94,5 +87,4 @@ def couple_naive(seqs: list[SymbolSequence]) -> SymbolSequence:
     return SymbolSequence(
         symbols=combined,
         alphabet_size=prod(s.alphabet_size for s in seqs),
-        provenance="coupled",
     )

@@ -8,6 +8,7 @@ error messages always carry the dotted key path.  The resolved mapping
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import yaml
@@ -19,20 +20,20 @@ from .errors import ConfigError
 KNOWN_KEYS = {
     "dataset": (
         "kind", "subjects", "cycles", "period_mean", "period_jitter",
-        "sensors", "noise", "phases", "activity",
+        "sensors", "noise", "phases",
     ),
     "window": None,
     "coding": ("alpha", "beta"),
     "pssa": (
         "n_states", "coverage", "segment_length", "max_keys", "model", "coding",
     ),
-    "hca": ("h_feet", "h_extra", "linkage", "standardize", "max_fit_columns"),
+    "hca": ("h_feet", "h_extra", "standardize", "max_fit_columns"),
     "complexity": ("sensor", "h_sweep"),
     "cycles": ("left", "right", "extra", "min_runs", "recurrence_weight"),
     "passtensor": (
         "bins", "cycle_range", "trim_edges", "compare", "skeleton_weight",
     ),
-    "render": ("passtensor", "palette", "view", "ring_cycle"),
+    "render": ("passtensor", "view", "ring_cycle"),
     "output_dir": None,
 }
 
@@ -120,8 +121,8 @@ class RunConfig:
             raise ConfigError(f"{path}: expected two integers, got {value!r}")
         return value
 
-    def get_map(self, path: str, default=_MISSING) -> dict:
-        value = self._require(path, default)
+    def get_map(self, path: str) -> dict:
+        value = self._require(path, _MISSING)
         if value is not None and not isinstance(value, dict):
             raise ConfigError(f"{path}: expected a mapping, got {value!r}")
         return value
@@ -139,10 +140,19 @@ def checked_int(path: str, value, lo=None, hi=None) -> int:
 
 
 def checked_float(path: str, value, lo=None, hi=None) -> float:
-    """``value`` as a float if it is a number in ``[lo, hi]``; not a boolean."""
+    """``value`` as a float if it is a finite number in ``[lo, hi]``.
+
+    Booleans, NaN and infinities are refused.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return _in_range(path, float(value), lo, hi)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return _in_range(path, number, lo, hi)
 
 
 def _in_range(path: str, value, lo, hi):

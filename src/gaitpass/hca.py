@@ -1,8 +1,8 @@
 """Agglomerative clustering of the columns of a signal matrix.
 
 Columns (time points, as d-dimensional readings) are merged bottom-up under
-a chosen linkage rule; cutting the merge tree where exactly H clusters
-remain yields the cluster vocabulary used as a data-driven code book.
+Ward's linkage; cutting the merge tree where exactly H clusters remain
+yields the cluster vocabulary used as a data-driven code book.
 There is one linkage per matrix (``link_columns``), cut at any H in linear
 time (``cut_columns``) with partitions identical to scipy's ``cut_tree``.
 Cluster ids are relabeled so id 0 is the most populous cluster.
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster import hierarchy
-
-LINKAGES = ("ward", "complete", "average")
 
 # Hard ceiling on the number of columns in one fit; the pairwise distance
 # matrix is quadratic in this, so longer windows must be subsampled and
@@ -37,13 +35,10 @@ class ColumnClustering:
     h: int
     centroids: np.ndarray
     sizes: np.ndarray
-    linkage: str
     row_mean: np.ndarray
     row_std: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.linkage not in LINKAGES:
-            raise ValueError(f"linkage {self.linkage!r} not in {LINKAGES}")
         centroids = np.array(self.centroids, dtype=float)
         sizes = np.array(self.sizes, dtype=np.int64)
         row_mean = np.array(self.row_mean, dtype=float)
@@ -62,17 +57,13 @@ class ColumnClustering:
         object.__setattr__(self, "row_std", row_std)
 
     @property
-    def n_columns(self) -> int:
-        return int(self.sizes.sum())
-
-    @property
     def n_dims(self) -> int:
         return self.centroids.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class ColumnTree:
-    """One linkage of a d x N column matrix, ready to be cut at any H.
+    """One Ward linkage of a d x N column matrix, ready to be cut at any H.
 
     ``merges`` is scipy's (N-1) x 4 linkage matrix over the standardized
     columns; ``cut_order`` lists its rows in the order ``cut_tree`` applies
@@ -83,7 +74,6 @@ class ColumnTree:
     matrix: np.ndarray
     merges: np.ndarray
     cut_order: np.ndarray
-    linkage: str
     row_mean: np.ndarray
     row_std: np.ndarray
 
@@ -111,10 +101,8 @@ def _cut_order(merges: np.ndarray) -> np.ndarray:
     return walk[np.argsort(merges[walk, 2], kind="stable")]
 
 
-def link_columns(
-    matrix: np.ndarray, linkage: str = "ward", standardize: bool = True
-) -> ColumnTree:
-    """Link the columns of a d x N matrix once, for cutting at any H.
+def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
+    """Ward-link the columns of a d x N matrix once, for cutting at any H.
 
     Rows are optionally standardized to zero mean and unit variance before
     distances are computed (constant rows keep unit scale).
@@ -130,8 +118,6 @@ def link_columns(
             f"{n} columns exceeds the fit ceiling of {MAX_FIT_COLUMNS}; "
             "subsample and backfill with assign_nearest"
         )
-    if linkage not in LINKAGES:
-        raise ValueError(f"linkage {linkage!r} not in {LINKAGES}")
 
     if standardize:
         row_mean = matrix.mean(axis=1)
@@ -146,13 +132,12 @@ def link_columns(
         merges = np.zeros((0, 4))
         cut_order = np.zeros(0, dtype=np.int64)
     else:
-        merges = hierarchy.linkage(observations, method=linkage)
+        merges = hierarchy.linkage(observations, method="ward")
         cut_order = _cut_order(merges)
     return ColumnTree(
         matrix=matrix,
         merges=merges,
         cut_order=cut_order,
-        linkage=linkage,
         row_mean=row_mean,
         row_std=row_std,
     )
@@ -204,7 +189,6 @@ def cut_columns(tree: ColumnTree, h: int) -> tuple[ColumnClustering, np.ndarray]
         h=h,
         centroids=centroids,
         sizes=sizes,
-        linkage=tree.linkage,
         row_mean=tree.row_mean,
         row_std=tree.row_std,
     )
@@ -212,17 +196,14 @@ def cut_columns(tree: ColumnTree, h: int) -> tuple[ColumnClustering, np.ndarray]
 
 
 def cluster_columns(
-    matrix: np.ndarray,
-    h: int,
-    linkage: str = "ward",
-    standardize: bool = True,
+    matrix: np.ndarray, h: int, standardize: bool = True
 ) -> tuple[ColumnClustering, np.ndarray]:
     """Fit an H-cluster column clustering of a d x N matrix.
 
     One ``link_columns`` then one ``cut_columns``; link once and cut
     repeatedly to fit several H on the same matrix.
     """
-    return cut_columns(link_columns(matrix, linkage, standardize), h)
+    return cut_columns(link_columns(matrix, standardize), h)
 
 
 def assign_nearest(clustering: ColumnClustering, columns: np.ndarray) -> np.ndarray:

@@ -27,10 +27,9 @@ AXES = ("X", "Y", "Z")
 # each, in this fixed order.  A header row naming channels overrides it.
 MAREA_SENSORS = ("LF", "RF", "Waist", "Wrist")
 MAREA_SAMPLE_RATE_HZ = 128.0
-MAREA_LAYOUT = {
-    sensor: {axis: 3 * i + j for j, axis in enumerate(AXES)}
-    for i, sensor in enumerate(MAREA_SENSORS)
-}
+MAREA_HEADER = tuple(
+    f"{sensor}_{axis}" for sensor in MAREA_SENSORS for axis in AXES
+)
 
 # HuGaDB files carry a header; only the six accelerometer triples are kept.
 HUGADB_SENSORS = ("rf", "rs", "rt", "lf", "ls", "lt")
@@ -44,8 +43,6 @@ class TimeSeriesFrame:
     values: np.ndarray
     channels: tuple[tuple[str, str], ...]
     sample_rate_hz: float
-    subject_id: str
-    activity: str = ""
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
@@ -97,8 +94,6 @@ class TimeSeriesFrame:
             values=self.values[[rows[a] for a in AXES], :],
             channels=tuple((name, a) for a in AXES),
             sample_rate_hz=self.sample_rate_hz,
-            subject_id=self.subject_id,
-            activity=self.activity,
         )
         return SensorTriplet(sub)
 
@@ -112,8 +107,6 @@ class TimeSeriesFrame:
             values=self.values[:, start:stop],
             channels=self.channels,
             sample_rate_hz=self.sample_rate_hz,
-            subject_id=self.subject_id,
-            activity=self.activity,
         )
 
 
@@ -327,11 +320,52 @@ def _split_channel_token(token: str) -> tuple[str, str] | None:
     return sensor, axis
 
 
+def _hugadb_channel(token: str) -> tuple[str, str] | None:
+    """``acc_lf_x`` -> ``("lf", "X")``; None for any other column."""
+    parts = token.lower().split("_")
+    if len(parts) < 3 or parts[0] != "acc":
+        return None
+    location, axis = parts[1], parts[2].upper()
+    if location in HUGADB_SENSORS and axis in AXES:
+        return location, axis
+    return None
+
+
+def _channel_values(
+    path: Path,
+    header: list[str] | tuple[str, ...],
+    data: np.ndarray,
+    wanted: dict[str, tuple[str, str]],
+    channel_of,
+) -> np.ndarray:
+    """The table columns ``header`` names for ``wanted``, as a D x T matrix.
+
+    ``wanted`` maps each expected column name to its ``(sensor, axis)``
+    channel, in the order of the result; ``channel_of`` reads the channel
+    a header token names, or None.  When two tokens name one channel the
+    later wins.  A channel no token names, or one whose column lies past
+    the end of the rows, raises :class:`DataError` naming the file.
+    """
+    columns: dict[tuple[str, str], tuple[int, str]] = {}
+    for idx, token in enumerate(header):
+        channel = channel_of(token)
+        if channel is not None:
+            columns[channel] = (idx, token)
+    missing = [name for name, channel in wanted.items() if channel not in columns]
+    if missing:
+        raise DataError(f"{path}: header lacks axes {missing}")
+    picks = [columns[channel] for channel in wanted.values()]
+    for idx, token in picks:
+        if idx >= data.shape[1]:
+            raise DataError(
+                f"{path}: header names {token!r} as column {idx + 1}, "
+                f"but the rows hold {data.shape[1]} values"
+            )
+    return data[:, [idx for idx, _ in picks]].T
+
+
 def load_marea(
-    path: str | Path,
-    subject_id: str,
-    sensors: tuple[str, ...] = MAREA_SENSORS,
-    activity: str = "",
+    path: str | Path, sensors: tuple[str, ...] = MAREA_SENSORS
 ) -> TimeSeriesFrame:
     """Load a per-subject MAREA text export.
 
@@ -350,48 +384,22 @@ def load_marea(
             f"unknown MAREA sensors {unknown}; available: {list(MAREA_SENSORS)}"
         )
     header, data = parse_file(path, _parse_table)
-
-    if header is not None:
-        layout: dict[str, dict[str, int]] = {}
-        for idx, token in enumerate(header):
-            parsed = _split_channel_token(token)
-            if parsed is None:
-                continue
-            sensor, axis = parsed
-            layout.setdefault(sensor, {})[axis] = idx
-    else:
-        layout = MAREA_LAYOUT
+    if header is None:
         if data.shape[1] < 12:
             raise DataError(
                 f"{path}: headerless MAREA export needs 12 columns, "
                 f"found {data.shape[1]}"
             )
-
-    rows = []
-    channels = []
-    for sensor in sensors:
-        axis_map = layout.get(sensor, {})
-        missing = [a for a in AXES if a not in axis_map]
-        if missing:
-            raise DataError(f"{path}: sensor {sensor!r} lacks axes {missing}")
-        for axis in AXES:
-            rows.append(data[:, axis_map[axis]])
-            channels.append((sensor, axis))
+        header = MAREA_HEADER
+    wanted = {f"{s}_{axis}": (s, axis) for s in sensors for axis in AXES}
     return TimeSeriesFrame(
-        values=np.array(rows),
-        channels=tuple(channels),
+        values=_channel_values(path, header, data, wanted, _split_channel_token),
+        channels=tuple(wanted.values()),
         sample_rate_hz=MAREA_SAMPLE_RATE_HZ,
-        subject_id=subject_id,
-        activity=activity,
     )
 
 
-def load_hugadb(
-    path: str | Path,
-    subject_id: str,
-    sample_rate_hz: float = HUGADB_SAMPLE_RATE_HZ,
-    activity: str = "",
-) -> TimeSeriesFrame:
+def load_hugadb(path: str | Path) -> TimeSeriesFrame:
     """Load a HuGaDB v1 text file, keeping the six accelerometer triplets.
 
     The file must carry a header row; accelerometer columns are recognized
@@ -403,37 +411,15 @@ def load_hugadb(
     header, data = parse_file(path, _parse_table)
     if header is None:
         raise DataError(f"{path}: HuGaDB file lacks the expected header row")
-
-    index: dict[tuple[str, str], int] = {}
-    for idx, token in enumerate(header):
-        parts = token.lower().split("_")
-        if len(parts) < 3 or parts[0] != "acc":
-            continue
-        location, axis = parts[1], parts[2].upper()
-        if location in HUGADB_SENSORS and axis in AXES:
-            index[(location, axis)] = idx
-
-    missing = [
-        f"acc_{loc}_{axis.lower()}"
+    wanted = {
+        f"acc_{loc}_{axis.lower()}": (loc, axis)
         for loc in HUGADB_SENSORS
         for axis in AXES
-        if (loc, axis) not in index
-    ]
-    if missing:
-        raise DataError(f"{path}: missing accelerometer columns {missing}")
-
-    rows = []
-    channels = []
-    for loc in HUGADB_SENSORS:
-        for axis in AXES:
-            rows.append(data[:, index[(loc, axis)]])
-            channels.append((loc, axis))
+    }
     return TimeSeriesFrame(
-        values=np.array(rows),
-        channels=tuple(channels),
-        sample_rate_hz=sample_rate_hz,
-        subject_id=subject_id,
-        activity=activity,
+        values=_channel_values(path, header, data, wanted, _hugadb_channel),
+        channels=tuple(wanted.values()),
+        sample_rate_hz=HUGADB_SAMPLE_RATE_HZ,
     )
 
 
@@ -569,8 +555,6 @@ def synthesize_walker(
         values=values,
         channels=channels,
         sample_rate_hz=128.0,
-        subject_id=f"walker-{seed}",
-        activity="synthetic",
     )
     return SyntheticWalk(
         frame=frame,

@@ -60,7 +60,7 @@ class LocalCode:
         clustering = self.clustering
         payload = "|".join(
             [
-                clustering.linkage,
+                "ward",  # the linkage, still hashed so code book ids stay stable
                 str(clustering.h),
                 ",".join(self.source_sensors),
                 _fmt(clustering.row_mean),
@@ -94,8 +94,6 @@ def fit_local_code(
     stacked: np.ndarray,
     h: int = 10,
     source_sensors: tuple[str, ...] = ("L", "R"),
-    window: tuple[int, int] | None = None,
-    linkage: str = "ward",
     standardize: bool = True,
     max_fit_columns: int | None = None,
 ) -> LocalCode:
@@ -115,22 +113,12 @@ def fit_local_code(
             f"{stacked.shape[1]} columns do not split into "
             f"{n_blocks} equal sensor blocks"
         )
-    block_len = stacked.shape[1] // n_blocks
-    if window is None:
-        window = (0, block_len)
-    elif window[1] - window[0] != block_len:
-        raise ValueError(
-            f"window {window} does not span the {block_len}-column blocks"
-        )
-
     stride = fit_stride(stacked.shape[1], max_fit_columns)
-    clustering, _ = cluster_columns(
-        stacked[:, ::stride], h, linkage=linkage, standardize=standardize
-    )
+    clustering, _ = cluster_columns(stacked[:, ::stride], h, standardize=standardize)
     return LocalCode(
         clustering=clustering,
         source_sensors=tuple(source_sensors),
-        window=window,
+        window=(0, stacked.shape[1] // n_blocks),
         subsampled=stride > 1,
     )
 
@@ -138,9 +126,7 @@ def fit_local_code(
 def encode_subsystem(code: LocalCode, triplet: SensorTriplet) -> SymbolSequence:
     """Code every column of a triplet by its nearest code-book centroid."""
     labels = assign_nearest(code.clustering, triplet.values)
-    return SymbolSequence(
-        symbols=labels, alphabet_size=code.h, provenance="hca-cluster"
-    )
+    return SymbolSequence(symbols=labels, alphabet_size=code.h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +159,6 @@ class CoupledStateSequence:
     def n_samples(self) -> int:
         return self.codes.shape[0]
 
-    @property
-    def arity(self) -> int:
-        return self.codes.shape[1]
-
 
 def couple(
     seqs: list[SymbolSequence], labels: list[str]
@@ -198,7 +180,7 @@ def couple(
 
 
 # ---------------------------------------------------------------------------
-# persistence: the code book file holds what encoding reads, plus provenance
+# persistence: the code book file holds what encoding reads, plus its origin
 # ---------------------------------------------------------------------------
 
 _MAGIC = "gaitpass-codebook v2"
@@ -211,7 +193,7 @@ def local_code_to_text(code: LocalCode) -> str:
         "sensors " + " ".join(code.source_sensors),
         f"window {code.window[0]} {code.window[1]}",
         f"subsampled {int(code.subsampled)}",
-        f"linkage {clustering.linkage}",
+        "linkage ward",
         f"h {clustering.h}",
         f"dims {clustering.n_dims}",
         "row_mean " + _fmt(clustering.row_mean),
@@ -228,7 +210,8 @@ def local_code_from_text(text: str) -> LocalCode:
     sensors = tuple(lines.fields("sensors"))
     window = tuple(lines.values("window", int, 2))
     subsampled = bool(lines.value("subsampled", int))
-    linkage = lines.value("linkage", str)
+    if lines.value("linkage", str) != "ward":
+        raise lines.error("expected 'linkage ward'")
     h = lines.value("h", int)
     d = lines.value("dims", int)
     row_mean = lines.values("row_mean", float, d)
@@ -241,7 +224,6 @@ def local_code_from_text(text: str) -> LocalCode:
         h=h,
         centroids=centroids,
         sizes=sizes,
-        linkage=linkage,
         row_mean=row_mean,
         row_std=row_std,
     )

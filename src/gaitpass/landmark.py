@@ -156,10 +156,6 @@ class CyclePartition:
     def n_cycles(self) -> int:
         return len(self.cycles)
 
-    @property
-    def cycle_lengths(self) -> np.ndarray:
-        return np.diff(self.boundaries)
-
 
 def partition_cycles(
     stats: RunStatistics, landmark: tuple[int, ...]

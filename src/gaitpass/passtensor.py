@@ -26,7 +26,7 @@ MIN_BINS = 8
 
 @dataclass(frozen=True, eq=False)
 class Passtensor:
-    """C cycles x R rings x B bins of cluster codes, plus provenance."""
+    """C cycles x R rings x B bins of cluster codes, with landmark and code book."""
 
     tensor: np.ndarray
     ring_labels: tuple[str, ...]
@@ -280,10 +280,7 @@ def _bin_angles(b: int, n_bins: int) -> tuple[float, float]:
 
 
 def render_rings(
-    grid: np.ndarray,
-    palette,
-    size: float = 480.0,
-    ring_labels: tuple[str, ...] | None = None,
+    grid: np.ndarray, palette, ring_labels: tuple[str, ...] | None = None
 ) -> str:
     """Concentric-ring view of one R x B code grid (row 0 = outer ring)."""
     grid = np.asarray(grid, dtype=np.int64)
@@ -291,6 +288,7 @@ def render_rings(
         raise ValueError(f"grid must be R x B with B >= {MIN_BINS}")
     check_palette(palette, int(grid.max()))
     n_rings, n_bins = grid.shape
+    size = 480.0
     cx = cy = size / 2.0
     outer = size / 2.0 - 12.0
     hole = 0.35 * outer

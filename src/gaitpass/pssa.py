@@ -417,18 +417,16 @@ def classification_accuracy(
     return correct / float(len(results))
 
 
-def cluster_sigma(
-    sigma: ProportionMatrix, linkage: str = "average"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dendrogram leaf orders for the rows and columns of the matrix.
+def cluster_sigma(sigma: ProportionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Average-linkage dendrogram leaf orders for the matrix rows and columns.
 
     Returns ``(row_order, col_order)`` as permutations; used to reorder
     the matrix before rendering so similar segments sit together.
     """
     if sigma.n_rows < 2 or sigma.n_states < 2:
         raise ValueError("clustering needs at least a 2 x 2 matrix")
-    row_z = hierarchy.linkage(sigma.proportions, method=linkage)
-    col_z = hierarchy.linkage(sigma.proportions.T, method=linkage)
+    row_z = hierarchy.linkage(sigma.proportions, method="average")
+    col_z = hierarchy.linkage(sigma.proportions.T, method="average")
     return hierarchy.leaves_list(row_z), hierarchy.leaves_list(col_z)
 
 

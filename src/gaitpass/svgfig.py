@@ -19,15 +19,6 @@ DEFAULT_PALETTE = (
     "#ce6dbd", "#6b6ecf",
 )
 
-PALETTES = {"default": DEFAULT_PALETTE}
-
-
-def get_palette(name: str) -> tuple[str, ...]:
-    if name not in PALETTES:
-        raise ValueError(f"unknown palette {name!r}; available: {sorted(PALETTES)}")
-    return PALETTES[name]
-
-
 def check_palette(palette, max_code: int) -> None:
     if max_code >= len(palette):
         raise ValueError(
@@ -49,10 +40,10 @@ def svg_document(width: float, height: float, body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def rect(x, y, w, h, fill: str, extra: str = "") -> str:
+def rect(x, y, w, h, fill: str) -> str:
     return (
         f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-        f'fill="{fill}"{extra}/>'
+        f'fill="{fill}"/>'
     )
 
 
@@ -84,15 +75,13 @@ def _gradient_color(value: float) -> str:
 def render_heatmap(
     matrix: np.ndarray,
     row_labels: list[str] | None = None,
-    col_labels: list[str] | None = None,
     cell_w: float = 4.0,
     cell_h: float = 10.0,
     title: str = "",
 ) -> str:
     """Continuous-value heatmap with optional row labels.
 
-    Values are scaled by the matrix maximum; column labels are drawn only
-    when they fit (every cell at least 12 px wide).
+    Values are scaled by the matrix maximum.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
@@ -103,9 +92,8 @@ def render_heatmap(
         vmax = 1.0
     label_w = 110.0 if row_labels else 10.0
     top = 30.0 if title else 10.0
-    col_space = 40.0 if (col_labels and cell_w >= 12.0) else 10.0
     width = label_w + n_cols * cell_w + 10.0
-    height = top + n_rows * cell_h + col_space
+    height = top + n_rows * cell_h + 10.0
 
     body: list[str] = []
     if title:
@@ -124,13 +112,6 @@ def render_heatmap(
             )
         if row_labels:
             body.append(text(4, y + cell_h * 0.75, row_labels[i], size=9))
-    if col_labels and cell_w >= 12.0:
-        y = top + n_rows * cell_h + 14
-        for j in range(n_cols):
-            body.append(
-                text(label_w + j * cell_w + cell_w / 2, y, col_labels[j],
-                     size=8, anchor="middle")
-            )
     return svg_document(width, height, body)
 
 
@@ -139,13 +120,12 @@ def render_line_chart(
     series: dict[str, list[float]],
     x_label: str = "",
     y_label: str = "",
-    width: float = 560.0,
-    height: float = 360.0,
     title: str = "",
 ) -> str:
-    """Simple multi-series line chart with min/max axis ticks."""
+    """Simple 560 x 360 multi-series line chart with min/max axis ticks."""
     if not xs or not series:
         raise ValueError("need at least one x value and one series")
+    width, height = 560.0, 360.0
     left, right, top, bottom = 60.0, 20.0, 40.0, 50.0
     plot_w = width - left - right
     plot_h = height - top - bottom

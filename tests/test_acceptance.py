@@ -86,9 +86,7 @@ def test_criterion_1_lz76_matches_oracle(criterion_log):
         k = int(rng.integers(2, 28))
         n = int(rng.integers(1, 2001))
         symbols = rng.integers(0, k, size=n)
-        seq = SymbolSequence(
-            symbols=symbols, alphabet_size=k, provenance="coupled"
-        )
+        seq = SymbolSequence(symbols=symbols, alphabet_size=k)
         if lz76_complexity(seq) != lz76_phrases_literal(symbols):
             mismatches += 1
     conclude(
@@ -107,27 +105,17 @@ def test_criterion_2_cluster_coding_compresses(criterion_log):
     if path is None:
         bail(criterion_log, 2, f"no subject_05 export under {root}")
 
-    frame = load_marea(path, "subject-05", sensors=("LF",)).window(0, 300)
+    frame = load_marea(path, sensors=("LF",)).window(0, 300)
     triplet = frame.sensor("LF")
     coding = fit_ternary([triplet.frame], 0.3, 0.7)
     states = encode_ternary(triplet.frame, coding).states
     axis_seqs = [
-        SymbolSequence(
-            symbols=states[:, d].astype(np.int64) - 1,
-            alphabet_size=3,
-            provenance="ternary",
-        )
+        SymbolSequence(symbols=states[:, d].astype(np.int64) - 1, alphabet_size=3)
         for d in range(3)
     ]
     naive_lz = lz76_complexity(couple_naive(axis_seqs))
     _, labels = cluster_columns(triplet.values, 27)
-    cluster_lz = lz76_complexity(
-        SymbolSequence(
-            symbols=labels,
-            alphabet_size=27,
-            provenance="hca-cluster",
-        )
-    )
+    cluster_lz = lz76_complexity(SymbolSequence(symbols=labels, alphabet_size=27))
     conclude(
         criterion_log, 2, naive_lz > 1.5 * cluster_lz,
         f"subject 5 left foot, samples [0, 300): lz76 coupled-ternary="
@@ -160,9 +148,7 @@ def test_criterion_3a_marea_identification(criterion_log):
         bail(criterion_log, "3a", f"missing MAREA exports {missing} under {root}")
 
     frames = {
-        f"subject-{i:02d}": load_marea(
-            paths[i], f"subject-{i:02d}", sensors=("LF", "RF", "Wrist")
-        )
+        f"subject-{i:02d}": load_marea(paths[i], sensors=("LF", "RF", "Wrist"))
         for i in range(1, 11)
     }
     coding = fit_ternary(frames.values(), 0.3, 0.7)
@@ -197,8 +183,7 @@ def test_criterion_3b_hugadb_identification(criterion_log):
 
     chosen = sorted(by_subject)[:17]
     frames = {
-        f"subject-{sid}": [load_hugadb(p, f"subject-{sid}")
-                           for p in by_subject[sid]]
+        f"subject-{sid}": [load_hugadb(p) for p in by_subject[sid]]
         for sid in chosen
     }
     coding = fit_ternary(
@@ -276,9 +261,7 @@ def test_criterion_6_cycle_statistics(criterion_log):
     if path is None:
         bail(criterion_log, 6, f"no subject_05 export under {root}")
 
-    frame = load_marea(
-        path, "subject-05", sensors=("LF", "RF")
-    ).window(1, 10000)
+    frame = load_marea(path, sensors=("LF", "RF")).window(1, 10000)
     left = frame.sensor("LF")
     right = frame.sensor("RF")
     code = fit_local_code(stack_lr(left, right), h=10)

@@ -319,6 +319,11 @@ CONFIG_MISTAKES = {
     "h_feet_above_subsample": (
         ["hca.max_fit_columns=100", "hca.h_feet=101"], "the 100 columns"
     ),
+    # keys that once chose a linkage or labelled the frames
+    "linkage_key": (["hca.linkage=ward"], "unknown config key hca.linkage"),
+    "activity_key": (
+        ["dataset.activity=walking"], "unknown config key dataset.activity"
+    ),
 }
 
 
@@ -342,8 +347,11 @@ def test_config_mistake_exit_2(overrides, named, tmp_path, capsys):
 # Values a looser check used to pass on: a boolean is not a sample index
 # (window=[true, 600] cut from sample 1), a zero or NaN coverage failed
 # only later, as a precondition (exit 4), a subject seed of 1.7 ran as 1,
-# and passtensor.compare: [1, 2] crashed opening Path(1).
+# passtensor.compare: [1, 2] crashed opening Path(1), a misspelt subject
+# key was ignored, a NaN offset exited 4 naming no key, an infinite
+# recurrence weight ran and one beyond the float range crashed.
 SEED = "dataset.subjects.walkerA.seed"
+OFFSET = "dataset.subjects.walkerA.offset"
 LOOSE_VALUES = {
     "window_bool": ("cycles", WALK, "window=[true, 600]", "window"),
     "window_one_index": ("cycles", WALK, "window=[5]", "window"),
@@ -357,9 +365,19 @@ LOOSE_VALUES = {
     "seed_text": ("cycles", WALK, f"{SEED}=abc", SEED),
     "seed_bool": ("cycles", WALK, f"{SEED}=true", SEED),
     "seed_negative": ("cycles", WALK, f"{SEED}=-1", SEED),
-    "offset_text": (
-        "cycles", WALK, "dataset.subjects.walkerA.offset=x",
-        "dataset.subjects.walkerA.offset",
+    "offset_text": ("cycles", WALK, f"{OFFSET}=x", OFFSET),
+    "offset_nan": ("cycles", WALK, f"{OFFSET}=.nan", OFFSET),
+    "recurrence_weight_inf": (
+        "cycles", WALK, "cycles.recurrence_weight=.inf",
+        "cycles.recurrence_weight",
+    ),
+    "recurrence_weight_huge": (
+        "cycles", WALK, "cycles.recurrence_weight=1" + "0" * 400,
+        "cycles.recurrence_weight",
+    ),
+    "subject_unknown_key": (
+        "cycles", WALK, "dataset.subjects.walkerA.ofset=3.0",
+        "dataset.subjects.walkerA.ofset",
     ),
     "compare_not_paths": (
         "passtensor-compare", "", "passtensor.compare=[1, 2]",
@@ -406,6 +424,40 @@ def test_h_equal_to_fitted_columns_runs(tmp_path):
     assert main(["cycles", "-c", cfg, "-o", str(tmp_path / "out"),
                  "--set", "hca.max_fit_columns=100",
                  "--set", "hca.h_feet=100"]) == 0
+
+
+# A header naming more columns than the rows hold: the last named column
+# lies past the end of every row.
+HUGADB_HEADER = "\t".join(
+    f"acc_{loc}_{axis}" for loc in HUGADB_SENSORS for axis in "xyz"
+)
+NARROW_TABLES = {
+    "marea": ("  sensors: [LF]\n", "LF_X LF_Y LF_Z", 2, "'LF_Z'"),
+    "hugadb": ("", HUGADB_HEADER, 17, "'acc_lt_z'"),
+}
+
+
+@pytest.mark.parametrize("kind", NARROW_TABLES)
+def test_header_wider_than_rows_exit_3(kind, tmp_path, capsys):
+    sensors, header, width, token = NARROW_TABLES[kind]
+    subjects = ""
+    for name in ("ann", "bob"):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(
+            [header] + [" ".join(["0.5"] * width)] * 4) + "\n")
+        subjects += f"    {name}: {path}\n"
+    text = (f"dataset:\n  kind: {kind}\n{sensors}  subjects:\n{subjects}"
+            "pssa:\n  coverage: 0.95\n")
+    out = tmp_path / "out"
+    assert main(["pssa-train", "-c", config_file(tmp_path, text),
+                 "-o", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "data"
+    assert str(tmp_path / "ann.txt") in message["message"]
+    assert token in message["message"]
+    assert not out.exists()
 
 
 def test_unknown_palette_exit_2(persisted_files, tmp_path, capsys):

@@ -9,13 +9,11 @@ from gaitpass.complexity import SymbolSequence, couple_naive, lz76_complexity
 from oracles import lz76_phrases_literal
 
 
-def seq(symbols, alphabet=None, provenance="ternary"):
+def seq(symbols, alphabet=None):
     symbols = np.asarray(symbols, dtype=np.int64)
     if alphabet is None:
         alphabet = int(symbols.max()) + 1
-    return SymbolSequence(
-        symbols=symbols, alphabet_size=alphabet, provenance=provenance
-    )
+    return SymbolSequence(symbols=symbols, alphabet_size=alphabet)
 
 
 class TestSymbolSequence:
@@ -23,17 +21,11 @@ class TestSymbolSequence:
         with pytest.raises(ValueError):
             seq([])
         with pytest.raises(ValueError):
-            SymbolSequence(
-                symbols=np.array([0.5]), alphabet_size=2, provenance="ternary"
-            )
+            SymbolSequence(symbols=np.array([0.5]), alphabet_size=2)
         with pytest.raises(ValueError):
             seq([0, 3], alphabet=3)
         with pytest.raises(ValueError):
             seq([-1], alphabet=2)
-        with pytest.raises(ValueError):
-            SymbolSequence(
-                symbols=np.array([0]), alphabet_size=1, provenance="bogus"
-            )
 
     def test_len_and_readonly(self):
         s = seq([0, 1, 0])
@@ -99,7 +91,6 @@ class TestCoupleNaive:
         b = seq([1, 0, 1], alphabet=2)
         coupled = couple_naive([a, b])
         assert coupled.alphabet_size == 6
-        assert coupled.provenance == "coupled"
         assert coupled.symbols.tolist() == [1, 2, 5]
 
     def test_matches_ravel_multi_index(self):

@@ -45,7 +45,7 @@ class TestGetters:
         with pytest.raises(ConfigError, match=r"pssa\.n_states: required"):
             cfg.get_int("pssa.n_states")
         assert cfg.get_int("pssa.n_states", default=300) == 300
-        assert cfg.get_str("render.palette", default=None) is None
+        assert cfg.get_str("render.view", default=None) is None
 
     def test_type_errors_name_path(self, tmp_path):
         cfg = load_config(write_config(tmp_path, SAMPLE))

@@ -1,5 +1,7 @@
 """Column clustering: merge behaviour, labeling, assignment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.cluster import hierarchy
 
 from gaitpass.hca import (
-    LINKAGES,
     MAX_FIT_COLUMNS,
     ColumnClustering,
+    _cut_order,
     assign_nearest,
     cluster_columns,
     cut_columns,
@@ -32,6 +34,24 @@ def blobs(rng, centers, per=8, spread=0.05):
     return np.concatenate(cols, axis=1)
 
 
+LINKAGES = ("ward", "complete", "average")
+
+
+def tree_of(matrix, linkage, standardize=True):
+    """The column tree of ``matrix`` under scipy's ``linkage``.
+
+    ``link_columns`` links by Ward only.  ``cut_columns`` reads nothing of
+    the linkage but its merges, so its cut is also checked on the trees,
+    and ties, of complete and average linkage.
+    """
+    tree = link_columns(matrix, standardize=standardize)
+    if linkage == "ward":
+        return tree
+    observations = (tree.matrix - tree.row_mean[:, None]) / tree.row_std[:, None]
+    merges = hierarchy.linkage(observations.T, method=linkage)
+    return replace(tree, merges=merges, cut_order=_cut_order(merges))
+
+
 class TestClusterColumns:
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_matches_literal_agglomeration(self, linkage):
@@ -41,7 +61,7 @@ class TestClusterColumns:
             n = int(rng.integers(2, 26))
             h = int(rng.integers(1, n + 1))
             matrix = rng.standard_normal((d, n))
-            _, got = cluster_columns(matrix, h, linkage=linkage, standardize=False)
+            _, got = cut_columns(tree_of(matrix, linkage, standardize=False), h)
             want = agglomerate_literal(matrix, h, linkage)
             assert partition_of_assignments(got) == want
 
@@ -69,7 +89,7 @@ class TestClusterColumns:
     def test_separated_blobs_recovered(self, linkage):
         rng = np.random.default_rng(23)
         matrix = blobs(rng, [(0, 0), (10, 0), (0, 10)], per=7)
-        _, labels = cluster_columns(matrix, 3, linkage=linkage)
+        _, labels = cut_columns(tree_of(matrix, linkage), 3)
         truth = np.repeat([0, 1, 2], 7)
         # same partition, labels free
         assert partition_of_assignments(labels) == partition_of_assignments(truth)
@@ -105,7 +125,6 @@ class TestClusterColumns:
         clustering, labels = cluster_columns(np.array([[3.0]]), 1)
         assert labels.tolist() == [0]
         assert clustering.sizes.tolist() == [1]
-        assert clustering.n_columns == 1
 
     def test_h_equals_n(self):
         rng = np.random.default_rng(26)
@@ -122,8 +141,6 @@ class TestClusterColumns:
             cluster_columns(np.zeros(5), 2)
         with pytest.raises(ValueError, match="NaN"):
             cluster_columns(np.array([[np.nan, 1.0]]), 1)
-        with pytest.raises(ValueError, match="linkage"):
-            cluster_columns(np.zeros((2, 5)), 2, linkage="single")
         with pytest.raises(ValueError, match="ceiling"):
             cluster_columns(np.zeros((1, MAX_FIT_COLUMNS + 1)), 2)
 
@@ -144,7 +161,7 @@ class TestCutColumns:
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_matches_scipy_cut_tree_at_every_h(self, linkage, kind):
         matrix = tied_matrices()[kind]
-        tree = link_columns(matrix, linkage=linkage)
+        tree = tree_of(matrix, linkage)
         n = matrix.shape[1]
         for h in range(1, n + 1):
             _, got = cut_columns(tree, h)
@@ -161,7 +178,7 @@ class TestCutColumns:
             assert np.array_equal(labels, fit_labels)
             for field in ("centroids", "sizes", "row_mean", "row_std"):
                 assert np.array_equal(getattr(cut, field), getattr(fit, field))
-            assert (cut.h, cut.linkage) == (fit.h, fit.linkage)
+            assert cut.h == fit.h
 
     def test_single_column_tree(self):
         tree = link_columns(np.array([[2.0], [5.0]]))
@@ -218,7 +235,6 @@ class TestAssignNearest:
             h=2,
             centroids=np.array([[-1.0], [1.0]]),
             sizes=np.array([2, 2]),
-            linkage="ward",
             row_mean=np.zeros(1),
             row_std=np.ones(1),
         )

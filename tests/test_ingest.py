@@ -29,7 +29,6 @@ def make_frame(rows=3, samples=8, sensors=("A",)):
         values=values,
         channels=channels,
         sample_rate_hz=100.0,
-        subject_id="t",
     )
 
 
@@ -51,7 +50,6 @@ class TestTimeSeriesFrame:
                 values=np.zeros((2, 4)),
                 channels=(("A", "X"),),
                 sample_rate_hz=1.0,
-                subject_id="t",
             )
 
     def test_duplicate_channel(self):
@@ -60,7 +58,6 @@ class TestTimeSeriesFrame:
                 values=np.zeros((2, 4)),
                 channels=(("A", "X"), ("A", "X")),
                 sample_rate_hz=1.0,
-                subject_id="t",
             )
 
     def test_unknown_axis(self):
@@ -69,7 +66,6 @@ class TestTimeSeriesFrame:
                 values=np.zeros((1, 4)),
                 channels=(("A", "W"),),
                 sample_rate_hz=1.0,
-                subject_id="t",
             )
 
     def test_rejects_non_finite(self):
@@ -80,7 +76,6 @@ class TestTimeSeriesFrame:
                 values=values,
                 channels=tuple(("A", a) for a in AXES),
                 sample_rate_hz=1.0,
-                subject_id="t",
             )
 
     def test_rejects_bad_rate(self):
@@ -89,7 +84,6 @@ class TestTimeSeriesFrame:
                 values=np.zeros((3, 4)),
                 channels=tuple(("A", a) for a in AXES),
                 sample_rate_hz=0.0,
-                subject_id="t",
             )
 
     def test_sensor_reorders_axes(self):
@@ -99,7 +93,6 @@ class TestTimeSeriesFrame:
             values=values,
             channels=(("A", "Z"), ("A", "X"), ("A", "Y")),
             sample_rate_hz=1.0,
-            subject_id="t",
         )
         triplet = frame.sensor("A")
         assert triplet.name == "A"
@@ -114,7 +107,6 @@ class TestTimeSeriesFrame:
             values=np.zeros((2, 4)),
             channels=(("A", "X"), ("A", "Y")),
             sample_rate_hz=1.0,
-            subject_id="t",
         )
         with pytest.raises(ValueError, match="lacks axes"):
             frame.sensor("A")
@@ -152,9 +144,8 @@ class TestLoadMarea:
         text, data = _table_text(25, 12, header=MAREA_HEADER)
         path = tmp_path / "sub5.csv"
         path.write_text(text)
-        frame = load_marea(path, "sub5", sensors=("RF", "LF"))
+        frame = load_marea(path, sensors=("RF", "LF"))
         assert frame.sample_rate_hz == MAREA_SAMPLE_RATE_HZ
-        assert frame.subject_id == "sub5"
         # requested order wins over file order
         assert frame.sensor_names() == ("RF", "LF")
         assert np.array_equal(frame.sensor("RF").values, data[:, 3:6].T)
@@ -165,14 +156,14 @@ class TestLoadMarea:
         text, data = _table_text(10, 6, header=header)
         path = tmp_path / "odd.csv"
         path.write_text(text)
-        frame = load_marea(path, "s", sensors=("Waist",))
+        frame = load_marea(path, sensors=("Waist",))
         assert np.array_equal(frame.values, data[:, [2, 1, 0]].T)
 
     def test_headerless_fixed_layout(self, tmp_path):
         text, data = _table_text(15, 12, delim=" ")
         path = tmp_path / "plain.txt"
         path.write_text(text)
-        frame = load_marea(path, "s", sensors=("Wrist",))
+        frame = load_marea(path, sensors=("Wrist",))
         assert np.array_equal(frame.values, data[:, 9:12].T)
 
     def test_headerless_too_narrow(self, tmp_path):
@@ -180,7 +171,7 @@ class TestLoadMarea:
         path = tmp_path / "narrow.csv"
         path.write_text(text)
         with pytest.raises(DataError, match="12 columns"):
-            load_marea(path, "s")
+            load_marea(path)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         text, data = _table_text(4, 12, header=MAREA_HEADER)
@@ -189,28 +180,28 @@ class TestLoadMarea:
         lines.insert(3, "")
         path = tmp_path / "c.csv"
         path.write_text("\n".join(lines) + "\n")
-        frame = load_marea(path, "s", sensors=("LF",))
+        frame = load_marea(path, sensors=("LF",))
         assert frame.n_samples == 4
 
     def test_non_numeric_cell_cites_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,oops,6\n")
         with pytest.raises(DataError, match=r"line 2, column 2"):
-            load_marea(path, "s", sensors=("LF",))
+            load_marea(path, sensors=("LF",))
 
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         text, _ = _table_text(3, 12)
         path.write_text(text + "1,2,3\n")
         with pytest.raises(DataError, match="expected 12"):
-            load_marea(path, "s")
+            load_marea(path)
 
     def test_unknown_sensor_request(self, tmp_path):
         text, _ = _table_text(3, 12)
         path = tmp_path / "x.csv"
         path.write_text(text)
         with pytest.raises(DataError, match="unknown MAREA sensors"):
-            load_marea(path, "s", sensors=("Ankle",))
+            load_marea(path, sensors=("Ankle",))
 
     def test_header_missing_axis(self, tmp_path):
         header = ["LF_X", "LF_Y"]  # no LF_Z
@@ -218,13 +209,13 @@ class TestLoadMarea:
         path = tmp_path / "m.csv"
         path.write_text(text)
         with pytest.raises(DataError, match="lacks axes"):
-            load_marea(path, "s", sensors=("LF",))
+            load_marea(path, sensors=("LF",))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# only a comment\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_marea(path, "s")
+            load_marea(path)
 
 
 def parse_outcome(parse, text):
@@ -359,7 +350,7 @@ class TestLoadHugadb:
         text, data = _table_text(12, len(header), header=header, delim="\t")
         path = tmp_path / "h.txt"
         path.write_text(text)
-        frame = load_hugadb(path, "p01")
+        frame = load_hugadb(path)
         assert frame.n_channels == 18
         assert frame.sample_rate_hz == 60.0
         assert frame.sensor_names() == ("rf", "rs", "rt", "lf", "ls", "lt")
@@ -370,7 +361,7 @@ class TestLoadHugadb:
         path = tmp_path / "noheader.txt"
         path.write_text(text)
         with pytest.raises(DataError, match="header"):
-            load_hugadb(path, "p")
+            load_hugadb(path)
 
     def test_missing_acc_columns_named(self, tmp_path):
         header = HUGADB_ACC[:-3]  # drop the lt triplet
@@ -378,7 +369,7 @@ class TestLoadHugadb:
         path = tmp_path / "short.txt"
         path.write_text(text)
         with pytest.raises(DataError, match="acc_lt_x"):
-            load_hugadb(path, "p")
+            load_hugadb(path)
 
 
 class TestSynthesizeWalker:

@@ -26,7 +26,6 @@ def triplet_of(values, name="L"):
         values=values,
         channels=tuple((name, a) for a in AXES),
         sample_rate_hz=50.0,
-        subject_id="t",
     )
     return frame.sensor(name)
 
@@ -70,15 +69,6 @@ class TestFitLocalCode:
             fit_local_code(rng.standard_normal((3, 11)), h=2,
                            source_sensors=("L", "R"))
 
-    def test_window_must_span_blocks(self):
-        rng = np.random.default_rng(54)
-        with pytest.raises(ValueError, match="window"):
-            fit_local_code(rng.standard_normal((3, 20)), h=2,
-                           source_sensors=("L", "R"), window=(0, 9))
-        code = fit_local_code(rng.standard_normal((3, 20)), h=2,
-                              source_sensors=("L", "R"), window=(100, 110))
-        assert code.window == (100, 110)
-
     def test_subsample_over_budget(self):
         rng = np.random.default_rng(55)
         stacked = rng.standard_normal((3, 64))
@@ -86,7 +76,7 @@ class TestFitLocalCode:
                               max_fit_columns=20)
         assert code.subsampled
         # every fourth column fitted: ceil(64 / 20) = 4
-        assert code.clustering.n_columns == 16
+        assert code.clustering.sizes.sum() == 16
 
     def test_code_book_id_tracks_content(self):
         rng = np.random.default_rng(56)
@@ -107,7 +97,6 @@ class TestEncodeSubsystem:
         seq = encode_subsystem(code, left)
         assert isinstance(seq, SymbolSequence)
         assert seq.alphabet_size == 8
-        assert seq.provenance == "hca-cluster"
         assert len(seq) == 50
         assert np.array_equal(
             seq.symbols, assign_nearest(code.clustering, left.values)
@@ -125,9 +114,7 @@ class TestEncodeSubsystem:
 
 def seq_of(symbols, alphabet):
     return SymbolSequence(
-        symbols=np.asarray(symbols, dtype=np.int64),
-        alphabet_size=alphabet,
-        provenance="hca-cluster",
+        symbols=np.asarray(symbols, dtype=np.int64), alphabet_size=alphabet
     )
 
 
@@ -137,7 +124,7 @@ class TestCoupledStateSequence:
         b = seq_of([1, 0, 1, 1], 2)
         coupled = couple([a, b], labels=["L", "R"])
         assert coupled.n_samples == 4
-        assert coupled.arity == 2
+        assert coupled.codes.shape[1] == 2
         assert coupled.subsystem_labels == ("L", "R")
         assert coupled.h_per_subsystem == (3, 2)
         assert np.array_equal(coupled.codes[:, 0], a.symbols)
@@ -183,7 +170,7 @@ class TestPersistence:
         left = random_triplet(rng, 30, "L")
         right = random_triplet(rng, 30, "R", shift=4.0)
         code = fit_local_code(stack_lr(left, right), h=5,
-                              source_sensors=("L", "R"), window=(20, 50))
+                              source_sensors=("L", "R"))
         text = local_code_to_text(code)
         back = local_code_from_text(text)
         assert back.source_sensors == code.source_sensors
@@ -210,3 +197,12 @@ class TestPersistence:
     def test_bad_magic(self):
         with pytest.raises(DataError, match="gaitpass-codebook v2"):
             local_code_from_text("gaitpass-codebook v1\n")
+
+    def test_only_ward_code_books_read(self):
+        rng = np.random.default_rng(61)
+        text = local_code_to_text(
+            fit_local_code(rng.standard_normal((3, 12)), h=3)
+        )
+        assert "\nlinkage ward\n" in text
+        with pytest.raises(DataError, match="line 5: expected 'linkage ward'"):
+            local_code_from_text(text.replace("linkage ward", "linkage average"))

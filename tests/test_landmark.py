@@ -127,7 +127,7 @@ class TestPartitionCycles:
         assert part.n_cycles == 2
         assert part.period_mean == 3.5
         assert part.period_sd == math.sqrt(sample_variance_literal([3, 4]))
-        assert part.cycle_lengths.tolist() == [3, 4]
+        assert np.diff(part.boundaries).tolist() == [3, 4]
 
     def test_head_before_first_landmark(self):
         seq = coupled([1, 1, 7, 2, 7, 2])

@@ -6,18 +6,14 @@ import pytest
 from gaitpass.svgfig import (
     DEFAULT_PALETTE,
     check_palette,
-    get_palette,
     render_heatmap,
     render_line_chart,
     svg_document,
 )
 
 
-def test_palette_registry():
-    assert get_palette("default") == DEFAULT_PALETTE
+def test_check_palette():
     assert len(set(DEFAULT_PALETTE)) == len(DEFAULT_PALETTE)
-    with pytest.raises(ValueError, match="unknown palette"):
-        get_palette("neon")
     check_palette(DEFAULT_PALETTE, len(DEFAULT_PALETTE) - 1)
     with pytest.raises(ValueError, match="too small"):
         check_palette(("#000000",), 1)

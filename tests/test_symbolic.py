@@ -26,9 +26,7 @@ def frame_of(values, sensors=None):
     channels = tuple(
         (s, a) for s in sensors for a in AXES
     )[: values.shape[0]]
-    return TimeSeriesFrame(
-        values=values, channels=channels, sample_rate_hz=10.0, subject_id="t"
-    )
+    return TimeSeriesFrame(values=values, channels=channels, sample_rate_hz=10.0)
 
 
 def test_resultant_magnitude():
