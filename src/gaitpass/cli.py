@@ -35,7 +35,13 @@ from .config import (
 )
 from .errors import ConfigError, DataError, GaitError
 from .hca import cut_columns, link_columns
-from .ingest import TimeSeriesFrame, load_hugadb, load_marea, synthesize_walker
+from .ingest import (
+    MAREA_SENSORS,
+    TimeSeriesFrame,
+    load_hugadb,
+    load_marea,
+    synthesize_walker,
+)
 from .l1g2 import (
     couple,
     encode_subsystem,
@@ -125,9 +131,12 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
             )
             frames[str(name)] = walk.frame
     elif kind == "marea":
-        sensor_list = config.get_list(
-            "dataset.sensors", ["LF", "RF", "Waist", "Wrist"]
-        )
+        sensor_list = config.get_list("dataset.sensors", list(MAREA_SENSORS))
+        if not sensor_list or not all(s in MAREA_SENSORS for s in sensor_list):
+            raise ConfigError(
+                "dataset.sensors: expected a nonempty list of MAREA sensors "
+                f"{list(MAREA_SENSORS)}, got {sensor_list!r}"
+            )
         for name, path in subjects_map.items():
             if not isinstance(path, str):
                 raise ConfigError(f"dataset.subjects.{name}: expected a file path")
@@ -142,9 +151,15 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
 
     window = config.get_int_pair("window", None)
     if window is not None:
+        start, stop = window
+        for name, frame in frames.items():
+            if not 0 <= start < stop <= frame.n_samples:
+                raise ConfigError(
+                    f"window: [{start}, {stop}) outside the "
+                    f"{frame.n_samples} samples of subject {name!r}"
+                )
         frames = {
-            name: frame.window(window[0], window[1])
-            for name, frame in frames.items()
+            name: frame.window(start, stop) for name, frame in frames.items()
         }
     return frames, inputs
 

@@ -6,6 +6,12 @@ yields the cluster vocabulary used as a data-driven code book.
 There is one linkage per matrix (``link_columns``), cut at any H in linear
 time (``cut_columns``) with partitions identical to scipy's ``cut_tree``.
 Cluster ids are relabeled so id 0 is the most populous cluster.
+
+The linkage merges reciprocal nearest neighbours in rounds over a k-d tree
+of cluster centroids, in O(N*d) memory, and equals scipy's Ward linkage.
+A matrix whose Ward distances tie is linked by scipy itself, because only
+scipy's own merge order reproduces its choice among tied pairs; that path
+holds the condensed distance matrix, which ``MAX_FIT_COLUMNS`` bounds.
 """
 
 from __future__ import annotations
@@ -15,11 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster import hierarchy
+from scipy.spatial import cKDTree
 
-# Hard ceiling on the number of columns in one fit; the pairwise distance
-# matrix is quadratic in this, so longer windows must be subsampled and
-# backfilled by nearest-centroid assignment.
+# Hard ceiling on the number of columns in one fit.  It binds the tie path
+# of ``link_columns``, whose pairwise distance matrix is quadratic in this,
+# so longer windows must be subsampled and backfilled by nearest-centroid
+# assignment.
 MAX_FIT_COLUMNS = 65536
+
+# Two Ward distances within this relative gap count as tied.
+_TIE = 1e-9
+# Euclidean neighbours fetched per cluster before the exhaustive fallback.
+_NEIGHBOURS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +114,149 @@ def _cut_order(merges: np.ndarray) -> np.ndarray:
     return walk[np.argsort(merges[walk, 2], kind="stable")]
 
 
+def _ward_sq(anchor, offset, size, i, j):
+    # Squared Ward distance 2*n_i*n_j/(n_i+n_j) * |c_i - c_j|^2 between the
+    # clusters at positions i and j, bitwise symmetric in them.  A centroid
+    # is kept as one member column (its anchor) plus an offset, so the gap
+    # between two close centroids loses no digits to their distance from
+    # the origin.
+    gap = (anchor[j] - anchor[i]) + (offset[j] - offset[i])
+    return (
+        2.0 * size[i] * size[j] / (size[i] + size[j]) * np.sum(gap**2, axis=-1)
+    )
+
+
+def _nearest(tree, anchor, offset, size, query):
+    """Ward nearest neighbours of the clusters at positions ``query``.
+
+    ``tree`` holds the centroids.  Returns the neighbours' positions and
+    squared Ward distances, or None when some queried cluster's two nearest
+    tie (zero distances included).  The k nearest centroids give a
+    candidate; clusters outside them are at least ``r_k`` away, so none
+    beats the bound 2*n*n_min/(n+n_min)*r_k^2.  Where that bound does not
+    clear the candidate by the tie gap, a ball of the radius the bound
+    implies is searched instead.
+    """
+    m = len(size)
+    k = min(_NEIGHBOURS + 1, m)
+    dist, idx = tree.query(tree.data[query], k=k)
+    rows = np.arange(len(query))
+    w = _ward_sq(anchor, offset, size, query[:, None], idx)
+    w[idx == query[:, None]] = np.inf
+    order = np.argsort(w, axis=1)
+    best = idx[rows, order[:, 0]]
+    w1 = w[rows, order[:, 0]]
+    w2 = w[rows, order[:, 1]]
+
+    near = (1.0 - _TIE) ** 2
+    n_q = size[query]
+    n_min = size.min()
+    floor = 2.0 * n_q * n_min / (n_q + n_min)
+    # With every cluster among the k nearest, none lies beyond them.
+    reach = dist[:, -1] if k < m else np.inf
+    open_ = np.flatnonzero(floor * reach**2 * near <= w1)
+    if len(open_):
+        owners = query[open_]
+        # Widened a hair so the tree's own rounding drops no candidate.
+        radius = np.sqrt(w1[open_] / (floor[open_] * near)) * (1.0 + 1e-12)
+        balls = tree.query_ball_point(tree.data[owners], radius)
+        lengths = np.fromiter(map(len, balls), np.int64, len(balls))
+        cand = np.fromiter(
+            (j for ball in balls for j in ball), np.int64, lengths.sum()
+        )
+        owner = np.repeat(owners, lengths)
+        wc = _ward_sq(anchor, offset, size, owner, cand)
+        wc[cand == owner] = np.inf
+        # Each ball holds its owner and the k-nearest candidate, so every
+        # group has a best and a second-best entry.
+        ranked = np.lexsort((wc, np.repeat(np.arange(len(owners)), lengths)))
+        first = np.cumsum(lengths) - lengths
+        best[open_] = cand[ranked[first]]
+        w1[open_] = wc[ranked[first]]
+        w2[open_] = wc[ranked[first + 1]]
+    if np.any((w1 >= w2 * near) | (w1 == 0.0)):
+        return None
+    return best, w1
+
+
+def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
+    """Scipy's Ward linkage of the N x d ``points``; None on a tie.
+
+    Ward is reducible: merging two clusters never brings a third closer
+    than the nearer of the two was.  So every pair of reciprocal nearest
+    neighbours is a merge of the one Ward tree, whatever the order
+    (Murtagh 1983; Muellner 2011, arXiv:1109.2378), and a cluster whose
+    nearest neighbour survives a round keeps it.  Each round merges every
+    reciprocal pair, then re-queries only the new clusters and those that
+    lost their neighbour.  Without ties the merges are scipy's; its
+    heights agree to rounding.
+    """
+    n = len(points)
+    anchor = np.array(points, dtype=float)
+    offset = np.zeros_like(anchor)
+    size = np.ones(n)
+    node = np.arange(n)
+    nn = np.zeros(n, dtype=np.int64)
+    nn_sq = np.zeros(n)
+    stale = np.ones(n, dtype=bool)
+    merged_nodes, heights, sizes = [], [], []
+    made = 0
+    while len(size) > 1:
+        m = len(size)
+        query = np.flatnonzero(stale)
+        tree = cKDTree(anchor + offset)
+        found = _nearest(tree, anchor, offset, size, query)
+        if found is None:
+            return None
+        nn[query], nn_sq[query] = found
+        a = np.flatnonzero((nn[nn] == np.arange(m)) & (np.arange(m) < nn))
+        if not len(a):
+            # A round always merges the closest pair; should rounding ever
+            # break that, scipy links the matrix instead of a loop forever.
+            return None
+        b = nn[a]
+        new_size = size[a] + size[b]
+        merged_nodes.append(np.column_stack((node[a], node[b])))
+        heights.append(np.sqrt(nn_sq[a]))
+        sizes.append(new_size)
+
+        # The merged cluster keeps a's anchor; its centroid moves from a's
+        # towards b's by n_b / (n_a + n_b) of the gap.
+        gap = (anchor[b] - anchor[a]) + (offset[b] - offset[a])
+        new_offset = offset[a] + (size[b] / new_size)[:, None] * gap
+        gone = np.zeros(m, dtype=bool)
+        gone[a] = gone[b] = True
+        keep = ~gone
+        position = np.cumsum(keep) - 1
+        stale = np.concatenate((gone[nn[keep]], np.ones(len(a), dtype=bool)))
+        nn = np.concatenate((position[nn[keep]], np.zeros(len(a), np.int64)))
+        nn_sq = np.concatenate((nn_sq[keep], np.zeros(len(a))))
+        anchor = np.concatenate((anchor[keep], anchor[a]))
+        offset = np.concatenate((offset[keep], new_offset))
+        node = np.concatenate((node[keep], n + made + np.arange(len(a))))
+        made += len(a)
+        size = np.concatenate((size[keep], new_size))
+
+    height = np.concatenate(heights)
+    order = np.argsort(height, kind="stable")
+    height = height[order]
+    if np.any(np.diff(height) <= _TIE * height[1:]):
+        return None
+    # Number each merge by its row in height order, as scipy does.
+    label = np.arange(2 * n - 1)
+    label[n + order] = n + np.arange(n - 1)
+    children = np.sort(label[np.concatenate(merged_nodes)[order]], axis=1)
+    return np.column_stack((children, height, np.concatenate(sizes)[order]))
+
+
 def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
     """Ward-link the columns of a d x N matrix once, for cutting at any H.
 
     Rows are optionally standardized to zero mean and unit variance before
-    distances are computed (constant rows keep unit scale).
+    distances are computed (constant rows keep unit scale).  The merges
+    equal scipy's ``linkage(method="ward")``; a matrix with tied Ward
+    distances is handed to that call, the others never build a distance
+    matrix.
     """
     matrix = np.array(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
@@ -132,7 +283,9 @@ def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
         merges = np.zeros((0, 4))
         cut_order = np.zeros(0, dtype=np.int64)
     else:
-        merges = hierarchy.linkage(observations, method="ward")
+        merges = _ward_rounds(observations)
+        if merges is None:
+            merges = hierarchy.linkage(observations, method="ward")
         cut_order = _cut_order(merges)
     return ColumnTree(
         matrix=matrix,

@@ -350,11 +350,20 @@ def test_config_mistake_exit_2(overrides, named, tmp_path, capsys):
 # passtensor.compare: [1, 2] crashed opening Path(1), a misspelt subject
 # key was ignored, a NaN offset exited 4 naming no key, an infinite
 # recurrence weight ran and one beyond the float range crashed.
+# A MAREA config whose file is never read: the sensor list is checked first.
+MAREA = "dataset:\n  kind: marea\n  subjects:\n    walkerA: walker.txt\n"
 SEED = "dataset.subjects.walkerA.seed"
 OFFSET = "dataset.subjects.walkerA.offset"
 LOOSE_VALUES = {
     "window_bool": ("cycles", WALK, "window=[true, 600]", "window"),
     "window_one_index": ("cycles", WALK, "window=[5]", "window"),
+    "window_past_end": ("cycles", WALK, "window=[0, 99999]", "window"),
+    "marea_sensors_empty": (
+        "cycles", MAREA, "dataset.sensors=[]", "dataset.sensors",
+    ),
+    "marea_sensors_number": (
+        "cycles", MAREA, "dataset.sensors=[1]", "dataset.sensors",
+    ),
     "cycle_range_bool": (
         "passtensor-build", WALK, "passtensor.cycle_range=[1, true]",
         "passtensor.cycle_range",

@@ -10,6 +10,7 @@ with a deliberate change of output, and say so.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from gaitpass.cli import main
@@ -106,3 +107,38 @@ def test_identify_artifact_bytes_match_recorded_digest(artifact, identify_runs):
     run, digest = IDENTIFY_GOLDEN[artifact]
     data = (identify_runs / run / artifact).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# The tie path of the linkage: readings rounded to integer counts repeat
+# columns and tie Ward distances, so ``link_columns`` hands the matrix to
+# scipy.  One headerless 12-column MAREA file of integer values.
+TIED_GOLDEN = {
+    "cycles.tsv":
+        "f77ccdaa169c6fff6fb95a596fc9174589b72695a69008b11c30c15274165da6",
+    "codebook_feet.txt":
+        "b85a2d86d878b234a977647baff340a983ff0b93fc0a66f99e32fc76e049abb5",
+}
+
+
+@pytest.fixture(scope="module")
+def tied_cycles_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tied")
+    walk = synthesize_walker(
+        seed=5, cycles=10, period_mean=64.0, period_jitter=1.0, sensors=4,
+    )
+    counts = np.round(walk.frame.values * 100).astype(np.int64)
+    path = root / "walker.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in counts.T))
+    cfg = root / "cycles.yaml"
+    cfg.write_text(
+        f"dataset:\n  kind: marea\n  subjects:\n    walkerA: {path}\n"
+        "hca:\n  h_feet: 8\ncycles:\n  min_runs: 3\n"
+    )
+    assert main(["cycles", "-c", str(cfg), "-o", str(root / "out")]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize("artifact", TIED_GOLDEN)
+def test_tied_input_artifact_bytes_match_recorded_digest(artifact, tied_cycles_run):
+    data = (tied_cycles_run / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == TIED_GOLDEN[artifact]

@@ -1,5 +1,6 @@
 """Column clustering: merge behaviour, labeling, assignment."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +13,14 @@ from gaitpass.hca import (
     MAX_FIT_COLUMNS,
     ColumnClustering,
     _cut_order,
+    _ward_rounds,
     assign_nearest,
     cluster_columns,
     cut_columns,
     link_columns,
 )
+from gaitpass.ingest import synthesize_walker
+from gaitpass.l1g2 import stack_lr
 from oracles import (
     agglomerate_literal,
     nearest_scan_literal,
@@ -37,6 +41,11 @@ def blobs(rng, centers, per=8, spread=0.05):
 LINKAGES = ("ward", "complete", "average")
 
 
+def observations_of(tree):
+    """The standardized N x d observations a column tree links."""
+    return ((tree.matrix - tree.row_mean[:, None]) / tree.row_std[:, None]).T
+
+
 def tree_of(matrix, linkage, standardize=True):
     """The column tree of ``matrix`` under scipy's ``linkage``.
 
@@ -47,8 +56,7 @@ def tree_of(matrix, linkage, standardize=True):
     tree = link_columns(matrix, standardize=standardize)
     if linkage == "ward":
         return tree
-    observations = (tree.matrix - tree.row_mean[:, None]) / tree.row_std[:, None]
-    merges = hierarchy.linkage(observations.T, method=linkage)
+    merges = hierarchy.linkage(observations_of(tree), method=linkage)
     return replace(tree, merges=merges, cut_order=_cut_order(merges))
 
 
@@ -262,3 +270,92 @@ def test_partition_property_random(n, h_fraction, seed):
     _, labels = cluster_columns(matrix, h, standardize=False)
     assert partition_of_assignments(labels) == agglomerate_literal(matrix, h, "ward")
 
+
+
+def scipy_ward(tree):
+    return hierarchy.linkage(observations_of(tree), method="ward")
+
+
+def assert_same_linkage(got, want):
+    """Equal merges and sizes; heights equal up to rounding."""
+    assert np.array_equal(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
+    assert np.allclose(got[:, 2], want[:, 2], rtol=1e-12, atol=0)
+
+
+def walker_stack(cycles, seed=1):
+    """The stacked 3 x 2T foot matrix of a 2-sensor walker."""
+    frame = synthesize_walker(
+        seed=seed, cycles=cycles, period_mean=128.0, period_jitter=2.0,
+        sensors=2, noise=0.03,
+    ).frame
+    return stack_lr(frame.sensor("S0"), frame.sensor("S1"))
+
+
+class TestWardRounds:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=2, max_value=300),
+        standardize=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_scipy_on_continuous_matrices(self, d, n, standardize, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((d, n)) * rng.uniform(0.1, 10.0, (d, 1))
+        tree = link_columns(matrix, standardize=standardize)
+        assert_same_linkage(tree.merges, scipy_ward(tree))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rounds_link_continuous_matrices_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        observations = rng.standard_normal((200, 1 + seed % 4))
+        got = _ward_rounds(observations)
+        assert got is not None
+        assert_same_linkage(got, hierarchy.linkage(observations, method="ward"))
+
+    @pytest.mark.parametrize("noise", [1e-3, 1e-6, 1e-9])
+    def test_tight_clusters_far_from_origin(self, noise):
+        # Merged centroids a few units out, columns 1e-9 apart: the gaps
+        # must not lose digits to the centroids' distance from the origin.
+        rng = np.random.default_rng(32)
+        centers = 3.0 * rng.standard_normal((6, 3))
+        observations = np.repeat(centers, 300, axis=0) + noise * (
+            rng.standard_normal((1800, 3))
+        )
+        got = _ward_rounds(observations)
+        assert got is not None
+        assert_same_linkage(got, hierarchy.linkage(observations, method="ward"))
+
+    def test_tied_matrices_take_scipy_linkage(self):
+        matrices = dict(tied_matrices())
+        rng = np.random.default_rng(31)
+        matrices["integers"] = rng.integers(0, 20, size=(3, 2000)).astype(float)
+        for kind, matrix in matrices.items():
+            tree = link_columns(matrix)
+            assert _ward_rounds(observations_of(tree)) is None, kind
+            assert np.array_equal(tree.merges, scipy_ward(tree)), kind
+
+    def test_equal_heights_are_ties(self):
+        # Two far-apart pairs at the same spacing: no cluster has a tied
+        # neighbour, but two merge heights are equal.
+        observations = np.array([[0.0], [1.0], [10.0], [11.0]])
+        assert _ward_rounds(observations) is None
+
+    def test_walker_stack_equals_scipy(self):
+        matrix = walker_stack(20)
+        assert 5000 < matrix.shape[1] < 5300
+        tree = link_columns(matrix)
+        assert _ward_rounds(observations_of(tree)) is not None
+        assert_same_linkage(tree.merges, scipy_ward(tree))
+
+    def test_walker_stack_links_in_linear_memory(self):
+        # scipy's pdist-based linkage peaks near 706 MB on this matrix.
+        matrix = walker_stack(50)
+        assert matrix.shape[1] == 12822
+        tracemalloc.start()
+        try:
+            link_columns(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
