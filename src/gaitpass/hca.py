@@ -152,13 +152,19 @@ def _nearest(tree, anchor, offset, size, query):
     n_q = size[query]
     n_min = size.min()
     floor = 2.0 * n_q * n_min / (n_q + n_min)
+    # The tree holds each centroid rounded to a float, up to half an ulp
+    # of the largest coordinate off per axis, so its distances may be off
+    # by up to this much; reach is narrowed and the radius widened by it.
+    slack = 2.0 * np.finfo(float).eps * np.abs(tree.data).max()
+    slack *= np.sqrt(tree.m)
     # With every cluster among the k nearest, none lies beyond them.
-    reach = dist[:, -1] if k < m else np.inf
+    reach = np.maximum(dist[:, -1] - slack, 0.0) if k < m else np.inf
     open_ = np.flatnonzero(floor * reach**2 * near <= w1)
     if len(open_):
         owners = query[open_]
-        # Widened a hair so the tree's own rounding drops no candidate.
-        radius = np.sqrt(w1[open_] / (floor[open_] * near)) * (1.0 + 1e-12)
+        # Widened a hair more so the tree's arithmetic drops no candidate.
+        radius = np.sqrt(w1[open_] / (floor[open_] * near))
+        radius = radius * (1.0 + 1e-12) + slack
         balls = tree.query_ball_point(tree.data[owners], radius)
         lengths = np.fromiter(map(len, balls), np.int64, len(balls))
         cand = np.fromiter(
@@ -189,7 +195,8 @@ def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
     nearest neighbour survives a round keeps it.  Each round merges every
     reciprocal pair, then re-queries only the new clusters and those that
     lost their neighbour.  Without ties the merges are scipy's; its
-    heights agree to rounding.
+    heights agree to rounding.  Heights are checked for ties as each round
+    adds them, so a tied matrix leaves at the first round that shows it.
     """
     n = len(points)
     anchor = np.array(points, dtype=float)
@@ -200,6 +207,7 @@ def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
     nn_sq = np.zeros(n)
     stale = np.ones(n, dtype=bool)
     merged_nodes, heights, sizes = [], [], []
+    placed = np.zeros(0)  # the merge heights so far, sorted
     made = 0
     while len(size) > 1:
         m = len(size)
@@ -216,8 +224,13 @@ def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
             return None
         b = nn[a]
         new_size = size[a] + size[b]
+        merged = np.sqrt(nn_sq[a])
+        new = np.sort(merged)
+        placed = np.insert(placed, np.searchsorted(placed, new), new)
+        if np.any(np.diff(placed) <= _TIE * placed[1:]):
+            return None
         merged_nodes.append(np.column_stack((node[a], node[b])))
-        heights.append(np.sqrt(nn_sq[a]))
+        heights.append(merged)
         sizes.append(new_size)
 
         # The merged cluster keeps a's anchor; its centroid moves from a's
@@ -240,8 +253,6 @@ def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
     height = np.concatenate(heights)
     order = np.argsort(height, kind="stable")
     height = height[order]
-    if np.any(np.diff(height) <= _TIE * height[1:]):
-        return None
     # Number each merge by its row in height order, as scipy does.
     label = np.arange(2 * n - 1)
     label[n + order] = n + np.arange(n - 1)

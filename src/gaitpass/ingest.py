@@ -376,8 +376,6 @@ def load_marea(
     """
     path = Path(path)
     sensors = tuple(sensors)
-    if not sensors:
-        raise DataError("at least one sensor must be requested")
     unknown = [s for s in sensors if s not in MAREA_SENSORS]
     if unknown:
         raise DataError(

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster import hierarchy
+from scipy.spatial import cKDTree
 
+from gaitpass import hca
 from gaitpass.hca import (
     MAX_FIT_COLUMNS,
     ColumnClustering,
     _cut_order,
+    _nearest,
     _ward_rounds,
     assign_nearest,
     cluster_columns,
@@ -340,6 +343,39 @@ class TestWardRounds:
         # neighbour, but two merge heights are equal.
         observations = np.array([[0.0], [1.0], [10.0], [11.0]])
         assert _ward_rounds(observations) is None
+
+    def test_tied_heights_stop_at_the_first_round(self, monkeypatch):
+        # Two far-apart copies of one continuous matrix: no cluster has a
+        # tied neighbour, but every merge height comes twice, the first
+        # round's included.
+        rng = np.random.default_rng(33)
+        points = rng.standard_normal((500, 3))
+        observations = np.concatenate((points, points + [100.0, 0.0, 0.0]))
+        rounds = []
+
+        def counted(*args):
+            rounds.append(1)
+            return _nearest(*args)
+
+        monkeypatch.setattr(hca, "_nearest", counted)
+        assert _ward_rounds(observations) is None
+        assert len(rounds) == 1
+
+    def test_nearest_allows_for_rounded_centroids(self, monkeypatch):
+        # Far from the origin the tree holds centroids a fraction of an ulp
+        # off: it puts the 2-column cluster at 3 ulps from the query and the
+        # single column at 4, though the column (3.9 ulps, Ward 15.21) is
+        # nearer than the cluster (3.41 ulps, Ward 15.50).
+        monkeypatch.setattr(hca, "_NEIGHBOURS", 1)
+        x = 2.0**22
+        ulp = np.spacing(x)
+        anchor = np.array([[x], [x + 3 * ulp], [x - 4 * ulp]])
+        offset = np.array([[0.0], [0.41 * ulp], [0.1 * ulp]])
+        size = np.array([1.0, 2.0, 1.0])
+        tree = cKDTree(anchor + offset)
+        assert np.array_equal((tree.data[:, 0] - x) / ulp, [0.0, 3.0, -4.0])
+        best, _ = _nearest(tree, anchor, offset, size, np.array([0]))
+        assert best.tolist() == [2]
 
     def test_walker_stack_equals_scipy(self):
         matrix = walker_stack(20)
