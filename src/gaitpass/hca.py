@@ -29,8 +29,12 @@ from scipy.spatial import cKDTree
 # assignment.
 MAX_FIT_COLUMNS = 65536
 
-# Two Ward distances within this relative gap count as tied.
-_TIE = 1e-9
+# Two Ward distances within this relative gap count as tied.  The rounds'
+# heights agree with scipy's to about 1e-15 relative, so this leaves a
+# thousandfold margin over rounding; a wider gap sends continuous matrices
+# to scipy's quadratic linkage on chance near-ties (two heights of the
+# seed-5 walker stack lie 8.7e-10 apart).
+_TIE = 1e-12
 # Euclidean neighbours fetched per cluster before the exhaustive fallback.
 _NEIGHBOURS = 16
 

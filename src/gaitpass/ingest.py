@@ -161,6 +161,10 @@ def parse_file(path: str | Path, parse):
         raise DataError(f"{path}: {exc}") from exc
 
 
+# Integers in persisted files must fit the int64 arrays they are read into.
+_INT64 = np.iinfo(np.int64)
+
+
 class LineReader:
     """Cursor over the lines of a persisted text format.
 
@@ -204,9 +208,14 @@ class LineReader:
 
     def numbers(self, tokens: list[str], kind=float) -> list:
         try:
-            return [kind(token) for token in tokens]
+            values = [kind(token) for token in tokens]
         except ValueError as exc:
             raise self.error(str(exc)) from None
+        if kind is int:
+            for token, value in zip(tokens, values):
+                if not _INT64.min <= value <= _INT64.max:
+                    raise self.error(f"integer {token!r} does not fit in 64 bits")
+        return values
 
     def values(self, key: str | None, kind=float, count: int | None = None) -> list:
         return self.numbers(self.fields(key, count), kind)
@@ -215,7 +224,29 @@ class LineReader:
         return self.values(key, kind, 1)[0]
 
     def rows(self, n: int, width: int, kind=float) -> np.ndarray:
-        """``n`` lines of ``width`` numbers each, as an n x width array."""
+        """``n`` lines of ``width`` numbers each, as an n x width array.
+
+        One ``np.loadtxt`` call reads the lines.  When it rejects them or
+        finds another shape, they are read one at a time, which names the
+        line at fault or reads what ``kind`` accepts and ``np.loadtxt``
+        does not (such as ``1_000``).  Lines that are not all ASCII, or
+        all blank, are always read one at a time: ``np.loadtxt`` takes
+        many non-ASCII characters for integer digits (``"1\u01fe2"``
+        reads as 4722), and warns on a block with no data.
+        """
+        block = self._lines[self._at : self._at + n]
+        if (
+            len(block) == n
+            and all(map(str.isascii, block))
+            and any(map(str.strip, block))
+        ):
+            try:
+                data = np.loadtxt(block, dtype=kind, comments=None, ndmin=2)
+            except ValueError:
+                data = None
+            if data is not None and data.shape == (n, width):
+                self._at += n
+                return data
         return np.array(
             [self.values(None, kind, width) for _ in range(n)], dtype=kind
         ).reshape(n, width)
@@ -503,45 +534,48 @@ def synthesize_walker(
 
     base = int(round(period_mean))
     marker_len = max(3, base // 16)
-    if base < marker_len + phases:
+    # the shortest cycle the jitter can draw must still hold the marker
+    # and one sample per phase
+    if base - int(np.rint(period_jitter)) < marker_len + phases:
         raise ValueError(
-            f"period_mean {period_mean} too short for {phases} phases "
-            f"plus a {marker_len}-sample marker"
+            f"period_mean {period_mean} with period_jitter {period_jitter} "
+            f"too short for {phases} phases plus a {marker_len}-sample marker"
         )
 
     rng = np.random.default_rng(seed)
     jitters = np.rint(rng.uniform(-period_jitter, period_jitter, cycles))
     lengths = (base + jitters).astype(int)
 
-    levels = _phase_levels(sensors, phases)
-    columns: list[np.ndarray] = []
-    for length in lengths:
-        block = np.empty((3 * sensors, length))
-        block[:, :marker_len] = MARKER_LEVEL
-        wave = length - marker_len
-        # plateau edges wobble with the same amplitude as the period, so
-        # only the marker keeps zero run-size and recurrence variance
-        edges = np.array(
-            [round(p * wave / phases) for p in range(phases + 1)], dtype=int
-        )
-        if period_jitter > 0:
-            wobble = np.rint(
-                rng.uniform(-period_jitter, period_jitter, phases - 1)
-            ).astype(int)
-            for p in range(1, phases):
-                low = edges[p - 1] + 1
-                high = wave - (phases - p)
-                edges[p] = min(max(edges[p] + wobble[p - 1], low), high)
-        for p in range(phases):
-            for s in range(sensors):
-                block[
-                    3 * s : 3 * s + 3,
-                    marker_len + edges[p] : marker_len + edges[p + 1],
-                ] = levels[s, p][:, None]
-        columns.append(block)
-    columns.append(np.full((3 * sensors, marker_len), MARKER_LEVEL))
+    # plateau edges, one row per cycle; they wobble with the same
+    # amplitude as the period, so only the marker keeps zero run-size and
+    # recurrence variance
+    waves = lengths - marker_len
+    edges = np.rint(np.outer(waves, np.arange(phases + 1)) / phases)
+    edges = edges.astype(int)
+    if period_jitter > 0:
+        wobble = np.rint(
+            rng.uniform(-period_jitter, period_jitter, (cycles, phases - 1))
+        ).astype(int)
+        # each edge stays past the one before it and leaves one sample
+        # for every later phase
+        for p in range(1, phases):
+            low = edges[:, p - 1] + 1
+            high = waves - (phases - p)
+            edges[:, p] = np.minimum(
+                np.maximum(edges[:, p] + wobble[:, p - 1], low), high
+            )
 
-    values = np.concatenate(columns, axis=1)
+    # column ``phases`` of the level table is the marker; every cycle is a
+    # marker then its plateaus, and a marker stub closes the walk
+    levels = _phase_levels(sensors, phases)
+    table = np.full((3 * sensors, phases + 1), MARKER_LEVEL)
+    table[:, :phases] = levels.transpose(0, 2, 1).reshape(3 * sensors, phases)
+    spans = np.column_stack((np.full(cycles, marker_len), np.diff(edges)))
+    order = np.tile(np.roll(np.arange(phases + 1), 1), cycles)
+    phase = np.repeat(order, spans.ravel())
+    phase = np.concatenate((phase, np.full(marker_len, phases)))
+
+    values = table[:, phase]
     values = values + offset + noise * rng.standard_normal(values.shape)
 
     ends = np.cumsum(lengths)

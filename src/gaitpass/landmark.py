@@ -42,10 +42,13 @@ class StateRuns:
 
 @dataclass(frozen=True, eq=False)
 class RunStatistics:
-    """Run-length encoding of a sequence, grouped per distinct state."""
+    """Run-length encoding of a sequence, grouped per distinct state.
+
+    ``run_states`` holds each run's state as one row of a runs x k array.
+    """
 
     per_state: dict[tuple[int, ...], StateRuns]
-    run_order: tuple[tuple[int, ...], ...]
+    run_states: np.ndarray
     run_starts: np.ndarray
     run_sizes: np.ndarray
     length: int
@@ -56,7 +59,8 @@ def run_statistics(seq: CoupledStateSequence) -> RunStatistics:
 
     Variances are sample variances (n - 1 divisor); a state with fewer
     than two runs has no recurrence times and gets +inf as its recurrence
-    variance so it can never win the landmark selection.
+    variance so it can never win the landmark selection.  ``per_state``
+    lists the states in order of first appearance.
     """
     if seq.n_samples < 2:
         raise ValueError("run statistics need a sequence of length >= 2")
@@ -64,14 +68,20 @@ def run_statistics(seq: CoupledStateSequence) -> RunStatistics:
     changed = np.any(codes[1:] != codes[:-1], axis=1)
     starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
     sizes = np.diff(np.concatenate((starts, [seq.n_samples])))
-    order = tuple(tuple(int(v) for v in codes[s]) for s in starts)
+    states = codes[starts]
 
-    grouped: dict[tuple[int, ...], list[int]] = {}
-    for idx, state in enumerate(order):
-        grouped.setdefault(state, []).append(idx)
+    # One opaque key per run's state row.  np.unique numbers the keys in
+    # sorted order; a stable sort on that number lists each state's runs
+    # in sequence order, and the states are visited by first appearance.
+    keys = states.view(f"V{states.itemsize * states.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_key = np.argsort(inverse, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
 
     per_state: dict[tuple[int, ...], StateRuns] = {}
-    for state, indices in grouped.items():
+    for key in np.argsort(first).tolist():
+        indices = by_key[bounds[key] : bounds[key + 1]]
+        state = tuple(states[first[key]].tolist())
         s_starts = starts[indices]
         s_sizes = sizes[indices]
         recurrence = np.diff(s_starts)
@@ -87,7 +97,7 @@ def run_statistics(seq: CoupledStateSequence) -> RunStatistics:
         )
     return RunStatistics(
         per_state=per_state,
-        run_order=order,
+        run_states=states,
         run_starts=starts,
         run_sizes=sizes,
         length=seq.n_samples,
@@ -166,7 +176,7 @@ def partition_cycles(
     cycles; they are reported as head and tail remainders.
     """
     landmark = tuple(int(v) for v in landmark)
-    arity = len(stats.run_order[0])
+    arity = stats.run_states.shape[1]
     if len(landmark) != arity:
         raise ValueError(
             f"landmark arity {len(landmark)} does not match sequence "

@@ -185,7 +185,9 @@ def compare_passtensors(
     codes match; stochastic agreement is one minus the mean total-variation
     distance between per-cell code histograms.  The summary distance is
     ``1 - (w * skeleton + (1 - w) * stochastic)``.  Tensors from different
-    code books are refused: cluster ids are meaningless across fits.
+    code books are refused: cluster ids are meaningless across fits.  So
+    are tensors cut at different landmarks, whose bins hold different
+    phases of the cycle.
     """
     if a.code_book_id != b.code_book_id:
         raise CodeBookMismatchError(
@@ -195,6 +197,10 @@ def compare_passtensors(
         raise ValueError(
             f"ring structure differs: {a.ring_labels}/{a.alphabet_sizes} vs "
             f"{b.ring_labels}/{b.alphabet_sizes}"
+        )
+    if a.landmark_state != b.landmark_state:
+        raise ValueError(
+            f"landmarks differ: {a.landmark_state} vs {b.landmark_state}"
         )
     if a.n_bins != b.n_bins:
         raise ValueError(f"bin counts differ: {a.n_bins} vs {b.n_bins}")
@@ -343,25 +349,30 @@ def _render_unrolled(pt: Passtensor, palette) -> str:
     section = pt.n_cycles * cell
     height = 10.0 + pt.n_rings * (section + gap)
 
+    # one rect per stretch of equal codes in a cycle's row; every row
+    # opens a stretch, so the next stretch's flat start ends this one
+    xs = [_f(left + b * cell) for b in range(pt.n_bins)]
+    widths = [_f(n * cell) for n in range(pt.n_bins + 1)]
+    height_f = _f(cell)
     body: list[str] = []
     y0 = 10.0
     for r in range(pt.n_rings):
         body.append(text(6, y0 + 12, pt.ring_labels[r], size=11))
-        for c in range(pt.n_cycles):
-            y = y0 + c * cell
-            row = pt.tensor[c, r]
-            # merge consecutive equal codes into one rect per stretch
-            b = 0
-            while b < pt.n_bins:
-                b_end = b + 1
-                while b_end < pt.n_bins and row[b_end] == row[b]:
-                    b_end += 1
-                body.append(
-                    f'<rect x="{_f(left + b * cell)}" y="{_f(y)}" '
-                    f'width="{_f((b_end - b) * cell)}" height="{_f(cell)}" '
-                    f'fill="{palette[row[b]]}"/>'
-                )
-                b = b_end
+        grid = pt.tensor[:, r, :]
+        opens = np.ones(grid.shape, dtype=bool)
+        opens[:, 1:] = grid[:, 1:] != grid[:, :-1]
+        cycles, bins = np.nonzero(opens)
+        flat = cycles * pt.n_bins + bins
+        runs = np.diff(flat, append=grid.size)
+        ys = [_f(y0 + c * cell) for c in range(pt.n_cycles)]
+        body.extend(
+            f'<rect x="{xs[b]}" y="{ys[c]}" width="{widths[n]}" '
+            f'height="{height_f}" fill="{palette[code]}"/>'
+            for c, b, n, code in zip(
+                cycles.tolist(), bins.tolist(), runs.tolist(),
+                grid[cycles, bins].tolist(),
+            )
+        )
         y0 += section + gap
     return svg_document(width, height, body)
 
@@ -430,9 +441,11 @@ def passtensor_to_text(pt: Passtensor) -> str:
         "lengths " + " ".join(str(int(v)) for v in pt.raw_lengths),
         "tensor",
     ]
-    for c in range(pt.n_cycles):
-        for r in range(pt.n_rings):
-            lines.append(" ".join(str(int(v)) for v in pt.tensor[c, r]))
+    digits = [str(v) for v in range(int(pt.tensor.max()) + 1)]
+    lines.extend(
+        " ".join(map(digits.__getitem__, row))
+        for row in pt.tensor.reshape(-1, pt.n_bins).tolist()
+    )
     return "\n".join(lines) + "\n"
 
 

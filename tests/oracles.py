@@ -3,8 +3,10 @@
 Every function here transcribes the defining procedure as directly as
 possible and shares no code with the production modules (the table
 parser raises the library's ``DataError``, so messages compare directly).
-Tests treat agreement between the two sides on randomized inputs as
-evidence for both.  Where numba is installed the phrase counter is jitted, since the
+The per-cell, per-run and per-cycle loops at the end are the library's
+own earlier versions, kept verbatim; they use its SVG helpers and walker
+levels, which are not what they check.  Tests treat agreement between the
+two sides on randomized inputs as evidence for both.  Where numba is installed the phrase counter is jitted, since the
 acceptance sweep calls it a thousand times on long sequences.
 """
 
@@ -16,6 +18,8 @@ from collections import Counter
 import numpy as np
 
 from gaitpass.errors import DataError
+from gaitpass.ingest import MARKER_LEVEL, _phase_levels
+from gaitpass.svgfig import _f, svg_document, text
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +324,163 @@ def segment_proportions_by_dict(states, pss, segment_length: int) -> np.ndarray:
                 segment_length
             )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# persisted rows, passtensor text and rendering, run statistics and the
+# synthetic walker: one Python step per cell, line, run or cycle, as the
+# library ran them before it worked on whole arrays
+# ---------------------------------------------------------------------------
+
+def rows_by_line(lines: list[str], first: int, n: int, width: int, kind):
+    """``n`` rows of ``width`` numbers from ``lines[first:]``, token by token.
+
+    Errors are :class:`DataError`s naming the 1-based line, as
+    ``LineReader`` numbers it.
+    """
+    rows = []
+    for at in range(first, first + n):
+        if at >= len(lines):
+            raise DataError(f"line {at + 1}: file ends early")
+        tokens = lines[at].split()
+        if len(tokens) != width:
+            raise DataError(
+                f"line {at + 1}: expected {width} values, found {len(tokens)}"
+            )
+        try:
+            values = [kind(token) for token in tokens]
+        except ValueError as exc:
+            raise DataError(f"line {at + 1}: {exc}") from None
+        for token, value in zip(tokens, values):
+            if kind is int and not -(2**63) <= value < 2**63:
+                raise DataError(
+                    f"line {at + 1}: integer {token!r} does not fit in 64 bits"
+                )
+        rows.append(values)
+    return np.array(rows, dtype=kind).reshape(n, width)
+
+
+def passtensor_to_text_by_cell(pt) -> str:
+    lines = [
+        "gaitpass-passtensor v1",
+        f"shape {pt.n_cycles} {pt.n_rings} {pt.n_bins}",
+        "rings " + " ".join(pt.ring_labels),
+        "alphabets " + " ".join(str(h) for h in pt.alphabet_sizes),
+        "landmark " + " ".join(str(v) for v in pt.landmark_state),
+        f"codebook {pt.code_book_id}",
+        "lengths " + " ".join(str(int(v)) for v in pt.raw_lengths),
+        "tensor",
+    ]
+    for c in range(pt.n_cycles):
+        for r in range(pt.n_rings):
+            lines.append(" ".join(str(int(v)) for v in pt.tensor[c, r]))
+    return "\n".join(lines) + "\n"
+
+
+def render_unrolled_by_cell(pt, palette) -> str:
+    cell = 6.0 if pt.n_bins <= 160 else 3.0
+    left = 60.0
+    gap = 26.0
+    width = left + pt.n_bins * cell + 12.0
+    section = pt.n_cycles * cell
+    height = 10.0 + pt.n_rings * (section + gap)
+
+    body: list[str] = []
+    y0 = 10.0
+    for r in range(pt.n_rings):
+        body.append(text(6, y0 + 12, pt.ring_labels[r], size=11))
+        for c in range(pt.n_cycles):
+            y = y0 + c * cell
+            row = pt.tensor[c, r]
+            # merge consecutive equal codes into one rect per stretch
+            b = 0
+            while b < pt.n_bins:
+                b_end = b + 1
+                while b_end < pt.n_bins and row[b_end] == row[b]:
+                    b_end += 1
+                body.append(
+                    f'<rect x="{_f(left + b * cell)}" y="{_f(y)}" '
+                    f'width="{_f((b_end - b) * cell)}" height="{_f(cell)}" '
+                    f'fill="{palette[row[b]]}"/>'
+                )
+                b = b_end
+        y0 += section + gap
+    return svg_document(width, height, body)
+
+
+def _sample_variance(values: np.ndarray) -> float:
+    if values.shape[0] < 2:
+        return 0.0
+    return float(np.var(values, ddof=1))
+
+
+def run_statistics_by_dict(codes):
+    """``(run_order, per_state)`` of a T x k code matrix.
+
+    ``per_state`` maps each state tuple, in first-appearance order, to
+    ``(run_starts, run_sizes, recurrence_times, size_variance,
+    recurrence_variance)``.
+    """
+    codes = np.asarray(codes)
+    changed = np.any(codes[1:] != codes[:-1], axis=1)
+    starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+    sizes = np.diff(np.concatenate((starts, [codes.shape[0]])))
+    order = tuple(tuple(int(v) for v in codes[s]) for s in starts)
+
+    grouped: dict[tuple[int, ...], list[int]] = {}
+    for idx, state in enumerate(order):
+        grouped.setdefault(state, []).append(idx)
+
+    per_state = {}
+    for state, indices in grouped.items():
+        s_starts = starts[indices]
+        s_sizes = sizes[indices]
+        recurrence = np.diff(s_starts)
+        per_state[state] = (
+            s_starts,
+            s_sizes,
+            recurrence,
+            _sample_variance(s_sizes),
+            math.inf if len(indices) < 2 else _sample_variance(recurrence),
+        )
+    return order, per_state
+
+
+def walker_values_by_cycle(
+    seed, cycles, period_mean, period_jitter, sensors, noise, offset, phases
+) -> np.ndarray:
+    """The D x T values of ``synthesize_walker``, assembled cycle by cycle."""
+    base = int(round(period_mean))
+    marker_len = max(3, base // 16)
+    rng = np.random.default_rng(seed)
+    jitters = np.rint(rng.uniform(-period_jitter, period_jitter, cycles))
+    lengths = (base + jitters).astype(int)
+
+    levels = _phase_levels(sensors, phases)
+    columns: list[np.ndarray] = []
+    for length in lengths:
+        block = np.empty((3 * sensors, length))
+        block[:, :marker_len] = MARKER_LEVEL
+        wave = length - marker_len
+        edges = np.array(
+            [round(p * wave / phases) for p in range(phases + 1)], dtype=int
+        )
+        if period_jitter > 0:
+            wobble = np.rint(
+                rng.uniform(-period_jitter, period_jitter, phases - 1)
+            ).astype(int)
+            for p in range(1, phases):
+                low = edges[p - 1] + 1
+                high = wave - (phases - p)
+                edges[p] = min(max(edges[p] + wobble[p - 1], low), high)
+        for p in range(phases):
+            for s in range(sensors):
+                block[
+                    3 * s : 3 * s + 3,
+                    marker_len + edges[p] : marker_len + edges[p + 1],
+                ] = levels[s, p][:, None]
+        columns.append(block)
+    columns.append(np.full((3 * sensors, marker_len), MARKER_LEVEL))
+
+    values = np.concatenate(columns, axis=1)
+    return values + offset + noise * rng.standard_normal(values.shape)

@@ -237,6 +237,38 @@ class TestPasstensor:
         assert "ring_cycle" in err["message"]
 
 
+def compare_refused(tmp_path, capsys, pairs):
+    """The one stderr message of comparing two one-ring tensors.
+
+    ``pairs`` gives each tensor's ``(code_book_id, landmark_state)``;
+    the comparison must exit 4 and write nothing.
+    """
+    paths = []
+    for code_book_id, landmark in pairs:
+        pt = Passtensor(
+            tensor=np.zeros((2, 1, 8), dtype=np.int64),
+            ring_labels=("L",),
+            alphabet_sizes=(3,),
+            raw_lengths=(8, 8),
+            landmark_state=landmark,
+            code_book_id=code_book_id,
+        )
+        paths.append(tmp_path / f"{code_book_id}{landmark[0]}.txt")
+        paths[-1].write_text(passtensor_to_text(pt))
+    cfg = config_file(
+        tmp_path,
+        f"passtensor:\n  compare: [{paths[0]}, {paths[1]}]\n",
+    )
+    rc = main(["passtensor-compare", "-c", cfg, "-o", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert not (tmp_path / "o").exists()
+    message = json.loads(err[0])
+    assert message["error"] == "precondition"
+    return message["message"]
+
+
 class TestFailureModes:
     def test_config_error_exit_2(self, tmp_path, capsys):
         cfg = config_file(tmp_path, WALK)
@@ -264,28 +296,14 @@ class TestFailureModes:
         assert "cannot read" in err["message"]
 
     def test_precondition_error_exit_4(self, tmp_path, capsys):
-        paths = []
-        for code_book_id in ("aaaa", "bbbb"):
-            pt = Passtensor(
-                tensor=np.zeros((2, 1, 8), dtype=np.int64),
-                ring_labels=("L",),
-                alphabet_sizes=(3,),
-                raw_lengths=(8, 8),
-                landmark_state=(0,),
-                code_book_id=code_book_id,
-            )
-            paths.append(tmp_path / f"{code_book_id}.txt")
-            paths[-1].write_text(passtensor_to_text(pt))
-        cfg = config_file(
-            tmp_path,
-            f"passtensor:\n  compare: [{paths[0]}, {paths[1]}]\n",
-        )
-        rc = main(["passtensor-compare", "-c", cfg, "-o", str(tmp_path / "o")])
-        assert rc == 4
-        err = json.loads(capsys.readouterr().err.splitlines()[0])
-        assert err["error"] == "precondition"
-        assert "code books differ" in err["message"]
-        assert not (tmp_path / "o").exists()
+        pairs = [("aaaa", (0,)), ("bbbb", (0,))]
+        message = compare_refused(tmp_path, capsys, pairs)
+        assert "code books differ" in message
+
+    def test_landmark_mismatch_exit_4(self, tmp_path, capsys):
+        pairs = [("aaaa", (0,)), ("aaaa", (1,))]
+        message = compare_refused(tmp_path, capsys, pairs)
+        assert "landmarks differ: (0,) vs (1,)" in message
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         cfg = config_file(tmp_path, WALK)
@@ -526,4 +544,28 @@ def test_bad_persisted_input_exit_3(key, damage, persisted_files, tmp_path, caps
     message = json.loads(err[0])
     assert message["error"] == "data"
     assert str(bad) in message["message"]
+    assert not out.exists()
+
+
+def overflowed(text):
+    """The first tensor row's first code set past int64."""
+    lines = text.splitlines(keepends=True)
+    row = lines.index("tensor\n") + 1
+    lines[row] = "99999999999999999999" + lines[row][lines[row].index(" "):]
+    return "".join(lines)
+
+
+def test_overflowing_passtensor_exit_3(persisted_files, tmp_path, capsys):
+    bad = tmp_path / "passtensor.txt"
+    text = overflowed(persisted_files["passtensor.txt"].read_text())
+    bad.write_text(text)
+    row = text.splitlines().index("tensor") + 2
+    command, config = reader_run("render.passtensor", bad, persisted_files)
+    out = tmp_path / "out"
+    assert main([command, "-c", config_file(tmp_path, config), "-o", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "data"
+    assert f"{bad}: line {row}: integer" in message["message"]
     assert not out.exists()

@@ -16,6 +16,9 @@ FORMATS = {
 }
 
 
+TOO_BIG = "99999999999999999999"  # past int64; a float field reads it
+
+
 def is_number(token):
     try:
         float(token)
@@ -24,13 +27,21 @@ def is_number(token):
     return True
 
 
-def garbled_copies(lines):
-    """One copy of the file per numeric token, with that token set to x."""
+def is_integer(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def damaged_copies(lines, hit, replacement):
+    """One copy of the file per token ``hit`` accepts, set to ``replacement``."""
     for i, line in enumerate(lines):
         tokens = line.rstrip("\n").split(" ")
         for j, token in enumerate(tokens):
-            if is_number(token):
-                damaged = tokens[:j] + ["x"] + tokens[j + 1 :]
+            if hit(token):
+                damaged = tokens[:j] + [replacement] + tokens[j + 1 :]
                 yield "".join(lines[:i] + [" ".join(damaged) + "\n"] + lines[i + 1 :])
 
 
@@ -44,9 +55,11 @@ def test_round_trip_and_damage(name, persisted_files):
     for cut in range(len(lines)):
         with pytest.raises(DataError, match=f"^line {cut + 1}:"):
             parse("".join(lines[:cut]))
-    copies = 0
-    for damaged in garbled_copies(lines):
-        copies += 1
-        with pytest.raises(DataError):
-            parse(damaged)
-    assert copies > 0
+    # every numeric token set to x, and every integer token past int64
+    for hit, replacement in ((is_number, "x"), (is_integer, TOO_BIG)):
+        copies = 0
+        for damaged in damaged_copies(lines, hit, replacement):
+            copies += 1
+            with pytest.raises(DataError):
+                parse(damaged)
+        assert copies > 0

@@ -408,6 +408,14 @@ class TestSynthesizeWalker:
                       walk.boundaries[1]]
         assert np.all(wave < MARKER_LEVEL)
 
+    def test_jitter_must_leave_one_sample_per_phase(self):
+        # a 9-sample period, a 3-sample marker and 6 phases leave no room
+        # for a cycle drawn 2 samples short
+        synthesize_walker(seed=1, cycles=4, period_mean=9.0, phases=6)
+        with pytest.raises(ValueError, match="too short for 6 phases"):
+            synthesize_walker(seed=1, cycles=4, period_mean=9.0,
+                              period_jitter=2.0, phases=6)
+
     def test_same_seed_reproduces(self):
         a = synthesize_walker(seed=7, cycles=6, period_mean=64.0,
                               period_jitter=2.0)

@@ -19,7 +19,7 @@ from oracles import runs_literal, sample_variance_literal
 
 def expand(stats):
     """Rebuild the T x k code matrix from the run encoding."""
-    return np.repeat(np.array(stats.run_order), stats.run_sizes, axis=0)
+    return np.repeat(stats.run_states, stats.run_sizes, axis=0)
 
 
 def coupled(rows, h=None):
@@ -41,7 +41,7 @@ class TestRunStatistics:
         codes = rng.integers(0, 3, size=(200, 2))
         stats = run_statistics(coupled(codes))
         want = runs_literal(codes)
-        assert stats.run_order == tuple(w[0] for w in want)
+        assert stats.run_states.tolist() == [list(w[0]) for w in want]
         assert stats.run_starts.tolist() == [w[1] for w in want]
         assert stats.run_sizes.tolist() == [w[2] for w in want]
         assert stats.length == 200

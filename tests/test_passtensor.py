@@ -1,5 +1,7 @@
 """Phase-normalized cycle tensors: construction, comparison, rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,14 @@ class TestCompare:
             compare_passtensors(a, other_alphabet)
         with pytest.raises(ValueError, match="skeleton_weight"):
             compare_passtensors(a, a, skeleton_weight=1.5)
+
+    def test_landmark_guard(self):
+        a = tensor_of(np.zeros((2, 2, 8), dtype=int))
+        b = dataclasses.replace(a, landmark_state=(0, 1))
+        with pytest.raises(
+            ValueError, match=r"landmarks differ: \(0, 0\) vs \(0, 1\)"
+        ):
+            compare_passtensors(a, b)
 
     def test_symmetry(self):
         rng = np.random.default_rng(86)
