@@ -42,6 +42,26 @@ class SymbolSequence:
         return self.symbols.shape[0]
 
 
+# Symbol s is code point 256 + s, so the largest symbol that has one.
+_MAX_TEXT_SYMBOL = 0x10FFFF - 256
+
+
+def _symbol_text(symbols: np.ndarray) -> str:
+    """The non-negative ``symbols`` as one string, code point 256 + s each.
+
+    Distinct code points above ASCII let ``str.find`` do the substring
+    scans at C speed.  The string is ``"".join(chr(256 + s) ...)``, decoded
+    in one call: ``surrogatepass`` admits the surrogate code points
+    (symbols 55,040-57,087) that ``chr`` accepts, and a symbol past
+    U+10FFFF raises ``ValueError``.
+    """
+    if symbols.max() > _MAX_TEXT_SYMBOL:
+        raise ValueError(f"symbol {symbols.max()} has no code point")
+    return (symbols + 256).astype("<u4").tobytes().decode(
+        "utf-32-le", "surrogatepass"
+    )
+
+
 def lz76_complexity(seq: SymbolSequence) -> int:
     """Count production-history phrases of ``seq``.
 
@@ -51,9 +71,7 @@ def lz76_complexity(seq: SymbolSequence) -> int:
     symbol past the longest copyable run.  A single symbol has complexity 1
     and a run of one repeated symbol has complexity 2.
     """
-    # Symbols map to distinct code points above ASCII so str.find can do
-    # the substring scans at C speed.
-    text = "".join(chr(256 + int(s)) for s in seq.symbols)
+    text = _symbol_text(seq.symbols)
     n = len(text)
     count = 0
     m = 0

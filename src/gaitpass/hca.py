@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.cluster import hierarchy
@@ -36,7 +37,15 @@ MAX_FIT_COLUMNS = 65536
 # seed-5 walker stack lie 8.7e-10 apart).
 _TIE = 1e-12
 # Euclidean neighbours fetched per cluster before the exhaustive fallback.
-_NEIGHBOURS = 16
+# Any count of 2 or more gives the same merges and tie decisions: a cluster
+# beyond the k nearest scores above the bound, so it can neither win nor
+# tie.  On the four walker matrices the auth-complexity benchmark links
+# (12,822 to 1,985 columns, 2-core VM), 2 to 6 neighbours took 0.33-0.35 s
+# in all and 16 took 0.45 s: extra neighbours cost more to fetch and score
+# than the ball searches they spare.
+_NEIGHBOURS = 4
+# Columns labelled per matrix product in ``assign_nearest``.
+_ASSIGN_BLOCK = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +180,7 @@ def _nearest(tree, anchor, offset, size, query):
         radius = radius * (1.0 + 1e-12) + slack
         balls = tree.query_ball_point(tree.data[owners], radius)
         lengths = np.fromiter(map(len, balls), np.int64, len(balls))
-        cand = np.fromiter(
-            (j for ball in balls for j in ball), np.int64, lengths.sum()
-        )
+        cand = np.fromiter(chain.from_iterable(balls), np.int64, lengths.sum())
         owner = np.repeat(owners, lengths)
         wc = _ward_sq(anchor, offset, size, owner, cand)
         wc[cand == owner] = np.inf
@@ -388,13 +395,26 @@ def assign_nearest(clustering: ColumnClustering, columns: np.ndarray) -> np.ndar
             f"columns have {columns.shape[0]} dims, clustering has "
             f"{clustering.n_dims}"
         )
+    mean = clustering.row_mean
     scale = clustering.row_std
-    scaled = (columns - clustering.row_mean[:, None]) / scale[:, None]
-    scaled_centroids = (
-        clustering.centroids - clustering.row_mean[None, :]
-    ) / scale[None, :]
-    # squared distances via the expansion ||x||^2 - 2 x.c + ||c||^2
-    cross = scaled_centroids @ scaled
+    scaled_centroids = (clustering.centroids - mean) / scale
     norms = np.sum(scaled_centroids**2, axis=1)[:, None]
-    return np.argmin(norms - 2.0 * cross, axis=0).astype(np.int64)
-
+    # Squared distances up to ||x||^2 as ||c||^2 - 2 c.x, a block of columns
+    # at a time, so the h x M temporaries stay h x block.  BLAS's
+    # matrix-matrix kernel gives a column the same product whatever block
+    # holds it, but a one-column product goes through its matrix-vector
+    # kernel, which rounds differently: a lone last column joins the block
+    # before it.
+    m = columns.shape[1]
+    edges = list(range(0, m, _ASSIGN_BLOCK)) + [m]
+    if len(edges) > 2 and m - edges[-2] == 1:
+        del edges[-2]
+    labels = np.empty(m, dtype=np.int64)
+    for start, stop in zip(edges, edges[1:]):
+        block = columns[:, start:stop] - mean[:, None]
+        block /= scale[:, None]
+        cross = scaled_centroids @ block
+        cross *= -2.0
+        cross += norms
+        labels[start:stop] = cross.argmin(axis=0)
+    return labels

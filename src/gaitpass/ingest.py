@@ -169,8 +169,8 @@ class LineReader:
     """Cursor over the lines of a persisted text format.
 
     The first line must equal ``magic``.  Each read consumes one line; a
-    missing line, an unexpected key or a malformed number raises
-    :class:`DataError` naming the 1-based line.
+    missing line, an unexpected key, a malformed number or a float that is
+    not finite raises :class:`DataError` naming the 1-based line.
     """
 
     def __init__(self, text: str, magic: str) -> None:
@@ -215,6 +215,10 @@ class LineReader:
             for token, value in zip(tokens, values):
                 if not _INT64.min <= value <= _INT64.max:
                     raise self.error(f"integer {token!r} does not fit in 64 bits")
+        elif kind is float:
+            for token, value in zip(tokens, values):
+                if not math.isfinite(value):
+                    raise self.error(f"number {token!r} is not finite")
         return values
 
     def values(self, key: str | None, kind=float, count: int | None = None) -> list:
@@ -226,13 +230,14 @@ class LineReader:
     def rows(self, n: int, width: int, kind=float) -> np.ndarray:
         """``n`` lines of ``width`` numbers each, as an n x width array.
 
-        One ``np.loadtxt`` call reads the lines.  When it rejects them or
-        finds another shape, they are read one at a time, which names the
-        line at fault or reads what ``kind`` accepts and ``np.loadtxt``
-        does not (such as ``1_000``).  Lines that are not all ASCII, or
-        all blank, are always read one at a time: ``np.loadtxt`` takes
-        many non-ASCII characters for integer digits (``"1\u01fe2"``
-        reads as 4722), and warns on a block with no data.
+        One ``np.loadtxt`` call reads the lines.  When it rejects them,
+        finds another shape or reads a float that is not finite, they are
+        read one at a time, which names the line at fault or reads what
+        ``kind`` accepts and ``np.loadtxt`` does not (such as ``1_000``).
+        Lines that are not all ASCII, or all blank, are always read one at
+        a time: ``np.loadtxt`` takes many non-ASCII characters for integer
+        digits (``"1\u01fe2"`` reads as 4722), and warns on a block with no
+        data.
         """
         block = self._lines[self._at : self._at + n]
         if (
@@ -244,7 +249,11 @@ class LineReader:
                 data = np.loadtxt(block, dtype=kind, comments=None, ndmin=2)
             except ValueError:
                 data = None
-            if data is not None and data.shape == (n, width):
+            if (
+                data is not None
+                and data.shape == (n, width)
+                and np.isfinite(data).all()
+            ):
                 self._at += n
                 return data
         return np.array(

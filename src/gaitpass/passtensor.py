@@ -52,15 +52,21 @@ class Passtensor:
                 raise ValueError(f"ring {j} has codes outside [0, {h})")
         if lengths.shape != (c,) or lengths.min() < 1:
             raise ValueError("raw_lengths must hold C positive cycle lengths")
+        landmark = tuple(int(v) for v in self.landmark_state)
+        if len(landmark) != r or not all(
+            0 <= v < h for v, h in zip(landmark, sizes)
+        ):
+            raise ValueError(
+                f"landmark {landmark} must hold one code per ring, each "
+                f"below its alphabet size {sizes}"
+            )
         tensor.flags.writeable = False
         lengths.flags.writeable = False
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "raw_lengths", lengths)
         object.__setattr__(self, "ring_labels", labels)
         object.__setattr__(self, "alphabet_sizes", sizes)
-        object.__setattr__(
-            self, "landmark_state", tuple(int(v) for v in self.landmark_state)
-        )
+        object.__setattr__(self, "landmark_state", landmark)
 
     @property
     def n_cycles(self) -> int:

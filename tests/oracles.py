@@ -76,6 +76,11 @@ def lz76_phrases_literal(symbols) -> int:
     return int(_pointer_walk(arr))
 
 
+def lz76_text_by_chr(symbols) -> str:
+    """The LZ76 scan's string image, one ``chr`` per symbol."""
+    return "".join(chr(256 + int(s)) for s in symbols)
+
+
 # ---------------------------------------------------------------------------
 # empirical quantiles (linear interpolation between order statistics)
 # ---------------------------------------------------------------------------
@@ -173,6 +178,24 @@ def nearest_scan_literal(centroids, row_std, columns) -> list[int]:
                 best_id = cid
         labels.append(best_id)
     return labels
+
+
+def assign_nearest_whole(clustering, columns) -> np.ndarray:
+    """Nearest-centroid labels from one matrix product over all columns.
+
+    ``hca.assign_nearest`` as it ran before it worked in column blocks.
+    """
+    columns = np.asarray(columns, dtype=float)
+    if columns.ndim == 1:
+        columns = columns[:, None]
+    scale = clustering.row_std
+    scaled = (columns - clustering.row_mean[:, None]) / scale[:, None]
+    scaled_centroids = (
+        clustering.centroids - clustering.row_mean[None, :]
+    ) / scale[None, :]
+    cross = scaled_centroids @ scaled
+    norms = np.sum(scaled_centroids**2, axis=1)[:, None]
+    return np.argmin(norms - 2.0 * cross, axis=0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +359,7 @@ def rows_by_line(lines: list[str], first: int, n: int, width: int, kind):
     """``n`` rows of ``width`` numbers from ``lines[first:]``, token by token.
 
     Errors are :class:`DataError`s naming the 1-based line, as
-    ``LineReader`` numbers it.
+    ``LineReader`` numbers it; a float that is not finite is one.
     """
     rows = []
     for at in range(first, first + n):
@@ -356,6 +379,8 @@ def rows_by_line(lines: list[str], first: int, n: int, width: int, kind):
                 raise DataError(
                     f"line {at + 1}: integer {token!r} does not fit in 64 bits"
                 )
+            if kind is float and not math.isfinite(value):
+                raise DataError(f"line {at + 1}: number {token!r} is not finite")
         rows.append(values)
     return np.array(rows, dtype=kind).reshape(n, width)
 

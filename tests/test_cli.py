@@ -555,17 +555,58 @@ def overflowed(text):
     return "".join(lines)
 
 
+def data_error_of_reading(key, bad, files, tmp_path, capsys):
+    """The one stderr message of a run that reads ``bad`` through ``key``."""
+    command, config = reader_run(key, bad, files)
+    out = tmp_path / "out"
+    assert main([command, "-c", config_file(tmp_path, config), "-o", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert not out.exists()
+    message = json.loads(err[0])
+    assert message["error"] == "data"
+    return message["message"]
+
+
 def test_overflowing_passtensor_exit_3(persisted_files, tmp_path, capsys):
     bad = tmp_path / "passtensor.txt"
     text = overflowed(persisted_files["passtensor.txt"].read_text())
     bad.write_text(text)
     row = text.splitlines().index("tensor") + 2
-    command, config = reader_run("render.passtensor", bad, persisted_files)
-    out = tmp_path / "out"
-    assert main([command, "-c", config_file(tmp_path, config), "-o", str(out)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    message = json.loads(err[0])
-    assert message["error"] == "data"
-    assert f"{bad}: line {row}: integer" in message["message"]
-    assert not out.exists()
+    message = data_error_of_reading(
+        "render.passtensor", bad, persisted_files, tmp_path, capsys
+    )
+    assert f"{bad}: line {row}: integer" in message
+
+
+def replaced_line(text, key, rest):
+    """``text`` with the line that starts with ``key`` ending in ``rest``."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+    lines[at] = f"{key} {rest}"
+    return "\n".join(lines) + "\n", at + 1
+
+
+def test_non_finite_coding_exit_3(persisted_files, tmp_path, capsys):
+    bad = tmp_path / "coding.txt"
+    text, line = replaced_line(
+        persisted_files["coding.txt"].read_text(), "S0 X", "nan nan"
+    )
+    bad.write_text(text)
+    message = data_error_of_reading(
+        "pssa.coding", bad, persisted_files, tmp_path, capsys
+    )
+    assert f"{bad}: line {line}: number 'nan' is not finite" in message
+
+
+@pytest.mark.parametrize("landmark", ["7 -1 5 9", "0", "99 0"])
+@pytest.mark.parametrize("key", ["render.passtensor", "passtensor.compare"])
+def test_passtensor_landmark_outside_rings_exit_3(
+    key, landmark, persisted_files, tmp_path, capsys
+):
+    text = persisted_files["passtensor.txt"].read_text()
+    assert text.splitlines()[1].split()[2] == "2"  # two rings
+    bad = tmp_path / "passtensor.txt"
+    bad.write_text(replaced_line(text, "landmark", landmark)[0])
+    message = data_error_of_reading(key, bad, persisted_files, tmp_path, capsys)
+    assert f"{bad}: landmark" in message

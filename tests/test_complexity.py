@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitpass.complexity import SymbolSequence, couple_naive, lz76_complexity
-from oracles import lz76_phrases_literal
+from gaitpass.complexity import (
+    SymbolSequence,
+    _symbol_text,
+    couple_naive,
+    lz76_complexity,
+)
+from oracles import lz76_phrases_literal, lz76_text_by_chr
 
 
 def seq(symbols, alphabet=None):
@@ -83,6 +88,46 @@ class TestLz76:
         ]
         for prev, cur in zip(values, values[1:]):
             assert prev <= cur <= prev + 1
+
+
+# Symbols whose code points 256 + s are surrogates, and the first without one.
+SURROGATES = (0xD800 - 256, 0xDFFF - 256)
+NO_CODE_POINT = 0x110000 - 256
+
+
+class TestSymbolText:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=300),
+                st.integers(min_value=SURROGATES[0] - 2, max_value=SURROGATES[1] + 2),
+                st.integers(min_value=NO_CODE_POINT - 3, max_value=NO_CODE_POINT + 3),
+                st.integers(min_value=0, max_value=2**62),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_one_chr_per_symbol(self, symbols):
+        arr = np.array(symbols, dtype=np.int64)
+        try:
+            want = lz76_text_by_chr(arr)
+        except (ValueError, OverflowError):
+            # chr raises OverflowError past the C int range
+            with pytest.raises(ValueError):
+                _symbol_text(arr)
+            return
+        assert _symbol_text(arr) == want
+
+    def test_range_edges(self):
+        arr = np.array([0, *SURROGATES, NO_CODE_POINT - 1], dtype=np.int64)
+        assert _symbol_text(arr) == lz76_text_by_chr(arr)
+        # past 2**32 the 4-byte code units would wrap to valid code points
+        for symbol in (NO_CODE_POINT, 2**32, 2**32 + 5):
+            with pytest.raises(ValueError):
+                _symbol_text(np.array([symbol], dtype=np.int64))
+        assert lz76_complexity(seq(list(SURROGATES) * 3, alphabet=2**16)) == 3
 
 
 class TestCoupleNaive:

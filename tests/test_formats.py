@@ -55,11 +55,30 @@ def test_round_trip_and_damage(name, persisted_files):
     for cut in range(len(lines)):
         with pytest.raises(DataError, match=f"^line {cut + 1}:"):
             parse("".join(lines[:cut]))
-    # every numeric token set to x, and every integer token past int64
-    for hit, replacement in ((is_number, "x"), (is_integer, TOO_BIG)):
+    # every numeric token set to x or a non-finite float, and every
+    # integer token past int64
+    for hit, replacement in ((is_number, "x"), (is_number, "nan"),
+                             (is_number, "-inf"), (is_integer, TOO_BIG)):
         copies = 0
         for damaged in damaged_copies(lines, hit, replacement):
             copies += 1
             with pytest.raises(DataError):
                 parse(damaged)
         assert copies > 0
+
+
+@pytest.mark.parametrize("name, key", [
+    ("coding.txt", "S0 X"),
+    ("codebook_feet.txt", "row_std"),
+    ("model.txt", "threshold"),
+])
+def test_non_finite_float_fields_rejected(name, key, persisted_files):
+    parse, _ = FORMATS[name]
+    lines = persisted_files[name].read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+    values = lines[at][len(key) :].split()
+    lines[at] = " ".join([key, *["nan"] * len(values)])
+    with pytest.raises(
+        DataError, match=f"^line {at + 1}: number 'nan' is not finite"
+    ):
+        parse("\n".join(lines) + "\n")

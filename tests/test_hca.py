@@ -26,6 +26,7 @@ from gaitpass.ingest import synthesize_walker
 from gaitpass.l1g2 import stack_lr
 from oracles import (
     agglomerate_literal,
+    assign_nearest_whole,
     nearest_scan_literal,
     partition_of_assignments,
 )
@@ -260,6 +261,90 @@ class TestAssignNearest:
             assign_nearest(clustering, rng.standard_normal((2, 5)))
 
 
+BLOCK = 7  # the column block the block tests patch in
+EDGE_WIDTHS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+
+
+def labels_in_blocks(clustering, columns):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hca, "_ASSIGN_BLOCK", BLOCK)
+        return assign_nearest(clustering, columns)
+
+
+def code_book_and_columns(rng, h, d, m, kind):
+    """A code book of ``h`` centroids and ``m`` columns to label by it."""
+    if kind == "grid":
+        # Integer centroids, repeats included, and half-integer columns
+        # under power-of-two scales: distances are exact, so many columns
+        # lie exactly as far from two centroids.
+        centroids = rng.integers(-2, 3, (h, d)).astype(float)
+        columns = rng.integers(-4, 5, (d, m)) / 2.0
+        row_mean = rng.integers(-1, 2, d).astype(float)
+        row_std = 2.0 ** rng.integers(-1, 2, d)
+    else:
+        centroids = rng.standard_normal((h, d))
+        columns = rng.standard_normal((d, m))
+        row_mean = rng.standard_normal(d)
+        row_std = rng.uniform(0.1, 3.0, d)
+        if kind == "midpoints":
+            # Columns halfway between two centroids: which one wins turns
+            # on the last bit of the products.
+            pairs = rng.integers(0, h, (2, m))
+            columns = (centroids[pairs[0]] + centroids[pairs[1]]).T / 2.0
+    clustering = ColumnClustering(
+        h=h, centroids=centroids, sizes=np.ones(h, dtype=np.int64),
+        row_mean=row_mean, row_std=row_std,
+    )
+    return clustering, columns
+
+
+class TestAssignInBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.integers(min_value=1, max_value=9),
+        d=st.integers(min_value=1, max_value=4),
+        m=st.one_of(
+            st.sampled_from(EDGE_WIDTHS), st.integers(min_value=1, max_value=80)
+        ),
+        kind=st.sampled_from(["grid", "midpoints", "random"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_one_product(self, h, d, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        clustering, columns = code_book_and_columns(rng, h, d, m, kind)
+        got = labels_in_blocks(clustering, columns)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, assign_nearest_whole(clustering, columns))
+
+    def test_near_ties_at_every_edge_width(self):
+        # A one-column product rounds differently from a wider one, and
+        # only near-ties show it; about one draw in sixteen flips a label
+        # when the last column is computed alone.
+        rng = np.random.default_rng(34)
+        for _ in range(120):
+            h = int(rng.integers(2, 10))
+            d = int(rng.integers(1, 5))
+            for m in EDGE_WIDTHS:
+                clustering, columns = code_book_and_columns(
+                    rng, h, d, m, "midpoints"
+                )
+                assert np.array_equal(
+                    labels_in_blocks(clustering, columns),
+                    assign_nearest_whole(clustering, columns),
+                )
+
+    def test_ties_take_the_lower_id_in_every_block(self):
+        # Centroid 2 repeats centroid 1, and 0.0 is as far from -1 as from 1.
+        clustering = ColumnClustering(
+            h=3, centroids=np.array([[-1.0], [1.0], [1.0]]),
+            sizes=np.array([1, 1, 1]), row_mean=np.zeros(1), row_std=np.ones(1),
+        )
+        for m in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2):
+            columns = np.tile([0.0, 1.0, 2.0], m)[None, :m]
+            want = np.tile([0, 1, 1], m)[:m]
+            assert labels_in_blocks(clustering, columns).tolist() == want.tolist()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=14),
@@ -398,3 +483,47 @@ class TestWardRounds:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def chain(n, scale=1.0):
+    """1-D points whose gaps grow by 0.2% each: nearest neighbours chain."""
+    return scale * np.cumsum(1.002 ** np.arange(n))[:, None]
+
+
+def standardized_walker_columns(n, seed):
+    matrix = walker_stack(2, seed=seed)[:, :n]
+    return ((matrix - matrix.mean(axis=1)[:, None]) / matrix.std(axis=1)[:, None]).T
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "walker", "chain", "tied"]),
+    n=st.integers(min_value=2, max_value=240),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_neighbour_count_changes_no_merge(kind, n, seed):
+    """Any count of 2 or more fetched neighbours gives the same merges.
+
+    The ball bound sends every cluster whose nearest lies outside the k
+    fetched to the exhaustive search, so k moves only the work, never a
+    merge, a height, or a tie decision.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        points = rng.standard_normal((n, int(rng.integers(1, 5))))
+    elif kind == "walker":
+        points = standardized_walker_columns(n, seed % 8)
+    elif kind == "chain":
+        points = chain(n, rng.uniform(0.1, 10.0))
+    else:
+        points = rng.integers(0, 4, (n, 2)).astype(float)
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        for k in (2, 4, 16):
+            patch.setattr(hca, "_NEIGHBOURS", k)
+            results.append(_ward_rounds(points))
+    first = results[0]
+    for other in results[1:]:
+        assert (other is None) == (first is None)
+        if first is not None:
+            assert np.array_equal(other, first)
