@@ -40,7 +40,6 @@ from .passtensor import (
     PasstensorDiff,
     build_passtensor,
     compare_passtensors,
-    normalize_cycle,
     render_cylinder,
     render_rings,
     skeleton,

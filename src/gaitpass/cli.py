@@ -34,7 +34,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, DataError, GaitError
-from .hca import cut_columns, link_columns
+from .hca import MAX_FIT_COLUMNS, cut_columns, link_columns
 from .ingest import (
     MAREA_SENSORS,
     TimeSeriesFrame,
@@ -79,7 +79,7 @@ from .pssa import (
     split_alternating,
     train_key_pss,
 )
-from .svgfig import DEFAULT_PALETTE, render_heatmap, render_line_chart
+from .svgfig import render_heatmap, render_line_chart
 from .symbolic import (
     coding_to_text,
     encode_ternary,
@@ -276,7 +276,7 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
     h_feet = config.get_int("hca.h_feet", 10, lo=1)
     h_extra = config.get_int("hca.h_extra", 8, lo=1)
     standardize = config.get_bool("hca.standardize", True)
-    max_fit = config.get_int("hca.max_fit_columns", 20000, lo=8)
+    max_fit = config.get_int("hca.max_fit_columns", 20000, lo=8, hi=MAX_FIT_COLUMNS)
 
     try:
         left_t = frame.sensor(left)
@@ -379,9 +379,6 @@ def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     coupled, partition, codes, labels = _cycles_pipeline(config, frame)
     bins = config.get_int("passtensor.bins", 128, lo=8)
     cycle_range = config.get_int_pair("passtensor.cycle_range", None)
-    if cycle_range is not None:
-        cycle_range = (cycle_range[0], cycle_range[1])
-    trim_edges = config.get_bool("passtensor.trim_edges", False)
     combined_id = hashlib.sha256(
         "|".join(code.code_book_id for code in codes.values()).encode()
     ).hexdigest()[:16]
@@ -390,7 +387,6 @@ def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         partition,
         bins=bins,
         cycle_range=cycle_range,
-        trim_edges=trim_edges,
         code_book_id=combined_id,
     )
     report = _partition_report(name, frame, partition, labels, codes)
@@ -555,19 +551,11 @@ def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         raise ConfigError(
             f"render.ring_cycle: {ring_cycle} outside 0..{pt.n_cycles - 1}"
         )
-    artifacts = {
-        "rings.svg": render_rings(
-            grid, DEFAULT_PALETTE, ring_labels=pt.ring_labels
-        )
-    }
+    artifacts = {"rings.svg": render_rings(grid, ring_labels=pt.ring_labels)}
     if view in ("unrolled", "both"):
-        artifacts["cylinder_unrolled.svg"] = render_cylinder(
-            pt, DEFAULT_PALETTE, view="unrolled"
-        )
+        artifacts["cylinder_unrolled.svg"] = render_cylinder(pt, view="unrolled")
     if view in ("isometric", "both"):
-        artifacts["cylinder_isometric.svg"] = render_cylinder(
-            pt, DEFAULT_PALETTE, view="isometric"
-        )
+        artifacts["cylinder_isometric.svg"] = render_cylinder(pt, view="isometric")
     return artifacts, [path]
 
 

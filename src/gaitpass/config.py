@@ -30,9 +30,7 @@ KNOWN_KEYS = {
     "hca": ("h_feet", "h_extra", "standardize", "max_fit_columns"),
     "complexity": ("sensor", "h_sweep"),
     "cycles": ("left", "right", "extra", "min_runs", "recurrence_weight"),
-    "passtensor": (
-        "bins", "cycle_range", "trim_edges", "compare", "skeleton_weight",
-    ),
+    "passtensor": ("bins", "cycle_range", "compare", "skeleton_weight"),
     "render": ("passtensor", "view", "ring_cycle"),
     "output_dir": None,
 }
@@ -46,7 +44,7 @@ class RunConfig:
     def __init__(self, data: dict, source: Path | None = None):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        unknown = sorted(set(data) - set(KNOWN_KEYS))
+        unknown = sorted(set(data) - set(KNOWN_KEYS), key=str)
         if unknown:
             raise ConfigError(
                 f"unknown config keys {unknown}; known: {list(KNOWN_KEYS)}"
@@ -190,7 +188,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)

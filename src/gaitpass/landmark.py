@@ -141,30 +141,47 @@ class CyclePartition:
 
     landmark_state: tuple[int, ...]
     boundaries: np.ndarray
-    cycles: tuple[tuple[int, int], ...]
-    head: tuple[int, int]
-    tail: tuple[int, int]
-    period_mean: float
-    period_sd: float
     length: int
 
     def __post_init__(self) -> None:
         boundaries = np.array(self.boundaries, dtype=np.int64)
-        if boundaries.shape[0] < 2 or np.any(np.diff(boundaries) <= 0):
-            raise ValueError("boundaries must be >= 2 strictly increasing indices")
-        expected = tuple(
-            (int(boundaries[i]), int(boundaries[i + 1]))
-            for i in range(boundaries.shape[0] - 1)
-        )
-        if tuple(self.cycles) != expected:
-            raise ValueError("cycles must tile [first boundary, last boundary)")
+        if (
+            boundaries.shape[0] < 2
+            or np.any(np.diff(boundaries) <= 0)
+            or boundaries[0] < 0
+            or boundaries[-1] > self.length
+        ):
+            raise ValueError(
+                "boundaries must be >= 2 strictly increasing indices "
+                f"within [0, {self.length}]"
+            )
         boundaries.flags.writeable = False
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "cycles", expected)
+
+    @property
+    def cycles(self) -> tuple[tuple[int, int], ...]:
+        edges = self.boundaries.tolist()
+        return tuple(zip(edges[:-1], edges[1:]))
 
     @property
     def n_cycles(self) -> int:
-        return len(self.cycles)
+        return self.boundaries.shape[0] - 1
+
+    @property
+    def head(self) -> tuple[int, int]:
+        return 0, int(self.boundaries[0])
+
+    @property
+    def tail(self) -> tuple[int, int]:
+        return int(self.boundaries[-1]), self.length
+
+    @property
+    def period_mean(self) -> float:
+        return float(np.mean(np.diff(self.boundaries)))
+
+    @property
+    def period_sd(self) -> float:
+        return math.sqrt(_sample_variance(np.diff(self.boundaries)))
 
 
 def partition_cycles(
@@ -188,19 +205,9 @@ def partition_cycles(
             f"landmark {landmark} occurs as {0 if runs is None else runs.run_count} "
             "run starts; need at least 2"
         )
-    boundaries = runs.run_starts
-    lengths = np.diff(boundaries)
     return CyclePartition(
         landmark_state=landmark,
-        boundaries=boundaries,
-        cycles=tuple(
-            (int(boundaries[i]), int(boundaries[i + 1]))
-            for i in range(boundaries.shape[0] - 1)
-        ),
-        head=(0, int(boundaries[0])),
-        tail=(int(boundaries[-1]), stats.length),
-        period_mean=float(np.mean(lengths)),
-        period_sd=math.sqrt(_sample_variance(lengths)),
+        boundaries=runs.run_starts,
         length=stats.length,
     )
 

@@ -19,7 +19,7 @@ from .errors import CodeBookMismatchError
 from .ingest import LineReader, parse_file
 from .l1g2 import CoupledStateSequence
 from .landmark import CyclePartition
-from .svgfig import _f, check_palette, svg_document, text
+from .svgfig import DEFAULT_PALETTE, _f, check_palette, svg_document, text
 
 MIN_BINS = 8
 
@@ -81,67 +81,43 @@ class Passtensor:
         return self.tensor.shape[2]
 
 
-def normalize_cycle(
-    seq: CoupledStateSequence, cycle: tuple[int, int], bins: int
-) -> np.ndarray:
-    """Resample one cycle onto B bins by nearest-sample lookup.
-
-    Bin b reads the sample nearest its center, index
-    ``start + floor((b + 0.5) * length / B)``, so a cycle of length
-    exactly B is copied unchanged.  Phase 0 is the cycle start (the
-    landmark).  Returns an R x B grid, one row per subsystem ring.
-    """
-    start, end = (int(v) for v in cycle)
-    if not 0 <= start < end <= seq.n_samples:
-        raise ValueError(
-            f"cycle [{start}, {end}) empty or outside 0..{seq.n_samples}"
-        )
-    if bins < MIN_BINS:
-        raise ValueError(f"bins must be >= {MIN_BINS}")
-    length = end - start
-    centers = ((np.arange(bins) + 0.5) * length) // bins
-    return seq.codes[start + centers.astype(np.int64)].T
-
-
 def build_passtensor(
     seq: CoupledStateSequence,
     partition: CyclePartition,
     bins: int = 128,
     cycle_range: tuple[int, int] | None = None,
-    trim_edges: bool = False,
     code_book_id: str = "",
 ) -> Passtensor:
     """Stack phase-normalized cycles into a passtensor.
 
-    By default all cycles are used.  ``cycle_range=(first, last)`` keeps
-    cycles first..last (1-based, inclusive); ``trim_edges`` instead drops
-    the first two and the last cycle, which routinely carry start/stop
-    transients.  Ring order and labels follow the coupled sequence.
+    Each cycle is resampled onto B bins by nearest-sample lookup: bin b of
+    the cycle starting at ``start`` reads the sample nearest its center,
+    index ``start + floor((b + 0.5) * length / B)``, so a cycle of length
+    exactly B is copied unchanged and a shorter one repeats samples.
+    Phase 0 is the cycle start (the landmark).  By default all cycles are
+    used; ``cycle_range=(first, last)`` keeps cycles first..last (1-based,
+    inclusive).  Ring order and labels follow the coupled sequence.
     """
     if partition.length != seq.n_samples:
         raise ValueError("partition was built over a different-length sequence")
-    if cycle_range is not None and trim_edges:
-        raise ValueError("give either cycle_range or trim_edges, not both")
-    total = partition.n_cycles
+    if bins < MIN_BINS:
+        raise ValueError(f"bins must be >= {MIN_BINS}")
+    edges = partition.boundaries
     if cycle_range is not None:
         first, last = (int(v) for v in cycle_range)
-        if not 1 <= first <= last <= total:
+        if not 1 <= first <= last <= partition.n_cycles:
             raise ValueError(
-                f"cycle_range [{first}, {last}] outside 1..{total}"
+                f"cycle_range [{first}, {last}] outside 1..{partition.n_cycles}"
             )
-        selected = partition.cycles[first - 1 : last]
-    elif trim_edges:
-        selected = partition.cycles[2 : total - 1]
-    else:
-        selected = partition.cycles
-    if not selected:
-        raise ValueError("cycle selection is empty")
-    grids = [normalize_cycle(seq, cycle, bins) for cycle in selected]
+        edges = edges[first - 1 : last + 1]
+    lengths = np.diff(edges)
+    centers = ((np.arange(bins) + 0.5) * lengths[:, None]) // bins
+    samples = edges[:-1, None] + centers.astype(np.int64)
     return Passtensor(
-        tensor=np.stack(grids, axis=0),
+        tensor=seq.codes[samples].transpose(0, 2, 1),
         ring_labels=seq.subsystem_labels,
         alphabet_sizes=seq.h_per_subsystem,
-        raw_lengths=np.array([end - start for start, end in selected]),
+        raw_lengths=lengths,
         landmark_state=partition.landmark_state,
         code_book_id=code_book_id,
     )
@@ -291,33 +267,45 @@ def _bin_angles(b: int, n_bins: int) -> tuple[float, float]:
     return theta0, theta0 + 2.0 * math.pi / n_bins
 
 
+def _concentric_rings(
+    grid: np.ndarray, cx: float, cy: float, outer: float, squash: float
+) -> list[str]:
+    """Ring sectors of an R x B code grid, row 0 outermost, around a hole
+    of 0.35 * ``outer``; ``squash`` scales the vertical radii."""
+    n_rings, n_bins = grid.shape
+    hole = 0.35 * outer
+    band = (outer - hole) / n_rings
+    sectors: list[str] = []
+    for r in range(n_rings):
+        r_out = outer - r * band
+        r_in = r_out - band
+        for b in range(n_bins):
+            theta0, theta1 = _bin_angles(b, n_bins)
+            sectors.append(
+                _annulus_sector(
+                    cx, cy, (r_out, r_out * squash), (r_in, r_in * squash),
+                    theta0, theta1, DEFAULT_PALETTE[grid[r, b]],
+                )
+            )
+    return sectors
+
+
 def render_rings(
-    grid: np.ndarray, palette, ring_labels: tuple[str, ...] | None = None
+    grid: np.ndarray, ring_labels: tuple[str, ...] | None = None
 ) -> str:
     """Concentric-ring view of one R x B code grid (row 0 = outer ring)."""
     grid = np.asarray(grid, dtype=np.int64)
     if grid.ndim != 2 or grid.shape[1] < MIN_BINS:
         raise ValueError(f"grid must be R x B with B >= {MIN_BINS}")
-    check_palette(palette, int(grid.max()))
-    n_rings, n_bins = grid.shape
+    check_palette(DEFAULT_PALETTE, int(grid.max()))
+    n_rings = grid.shape[0]
     size = 480.0
     cx = cy = size / 2.0
     outer = size / 2.0 - 12.0
     hole = 0.35 * outer
     band = (outer - hole) / n_rings
 
-    body: list[str] = []
-    for r in range(n_rings):
-        r_out = outer - r * band
-        r_in = r_out - band
-        for b in range(n_bins):
-            theta0, theta1 = _bin_angles(b, n_bins)
-            body.append(
-                _annulus_sector(
-                    cx, cy, (r_out, r_out), (r_in, r_in), theta0, theta1,
-                    palette[grid[r, b]],
-                )
-            )
+    body = _concentric_rings(grid, cx, cy, outer, 1.0)
     # phase-zero tick at 9 o'clock
     body.append(
         f'<line x1="{_f(cx - outer - 8)}" y1="{_f(cy)}" '
@@ -331,7 +319,7 @@ def render_rings(
     return svg_document(size, size, body)
 
 
-def render_cylinder(pt: Passtensor, palette, view: str = "unrolled") -> str:
+def render_cylinder(pt: Passtensor, view: str = "unrolled") -> str:
     """Cycle-stack view of a passtensor.
 
     ``unrolled`` lays each ring out as a C x B cell grid (one row per
@@ -339,15 +327,15 @@ def render_cylinder(pt: Passtensor, palette, view: str = "unrolled") -> str:
     cycles as a cylinder: the outer ring paints the visible shell half,
     and the top face shows all rings of the first cycle.
     """
-    check_palette(palette, int(pt.tensor.max()))
+    check_palette(DEFAULT_PALETTE, int(pt.tensor.max()))
     if view == "unrolled":
-        return _render_unrolled(pt, palette)
+        return _render_unrolled(pt)
     if view == "isometric":
-        return _render_isometric(pt, palette)
+        return _render_isometric(pt)
     raise ValueError(f"view must be 'unrolled' or 'isometric', got {view!r}")
 
 
-def _render_unrolled(pt: Passtensor, palette) -> str:
+def _render_unrolled(pt: Passtensor) -> str:
     cell = 6.0 if pt.n_bins <= 160 else 3.0
     left = 60.0
     gap = 26.0
@@ -373,7 +361,7 @@ def _render_unrolled(pt: Passtensor, palette) -> str:
         ys = [_f(y0 + c * cell) for c in range(pt.n_cycles)]
         body.extend(
             f'<rect x="{xs[b]}" y="{ys[c]}" width="{widths[n]}" '
-            f'height="{height_f}" fill="{palette[code]}"/>'
+            f'height="{height_f}" fill="{DEFAULT_PALETTE[code]}"/>'
             for c, b, n, code in zip(
                 cycles.tolist(), bins.tolist(), runs.tolist(),
                 grid[cycles, bins].tolist(),
@@ -383,7 +371,7 @@ def _render_unrolled(pt: Passtensor, palette) -> str:
     return svg_document(width, height, body)
 
 
-def _render_isometric(pt: Passtensor, palette) -> str:
+def _render_isometric(pt: Passtensor) -> str:
     rx = 150.0
     ry = 0.35 * rx
     dz = max(2.0, 260.0 / pt.n_cycles)
@@ -403,27 +391,14 @@ def _render_isometric(pt: Passtensor, palette) -> str:
                 continue
             x0, e0 = _ring_point(cx, y_c, rx, ry, theta0)
             x1, e1 = _ring_point(cx, y_c, rx, ry, theta1)
-            fill = palette[pt.tensor[c, 0, b]]
+            fill = DEFAULT_PALETTE[pt.tensor[c, 0, b]]
             body.append(
                 f'<polygon points="{_f(x0)},{_f(e0)} {_f(x1)},{_f(e1)} '
                 f'{_f(x1)},{_f(e1 + dz)} {_f(x0)},{_f(e0 + dz)}" '
                 f'fill="{fill}" stroke="{fill}" stroke-width="0.4"/>'
             )
     # top face: concentric rings of the first stacked cycle
-    hole = 0.35 * rx
-    band_x = (rx - hole) / pt.n_rings
-    for r in range(pt.n_rings):
-        rx_out = rx - r * band_x
-        rx_in = rx_out - band_x
-        for b in range(pt.n_bins):
-            theta0, theta1 = _bin_angles(b, pt.n_bins)
-            body.append(
-                _annulus_sector(
-                    cx, top_y,
-                    (rx_out, rx_out * 0.35), (rx_in, rx_in * 0.35),
-                    theta0, theta1, palette[pt.tensor[0, r, b]],
-                )
-            )
+    body.extend(_concentric_rings(pt.tensor[0], cx, top_y, rx, 0.35))
     body.append(text(cx, height - 12, f"{pt.n_cycles} cycles", size=11,
                      anchor="middle"))
     return svg_document(width, height, body)

@@ -433,6 +433,22 @@ def render_unrolled_by_cell(pt, palette) -> str:
     return svg_document(width, height, body)
 
 
+def passtensor_by_cycle(codes, boundaries, bins, cycle_range=None):
+    """C x R x B tensor and cycle lengths, resampling one cycle at a time."""
+    boundaries = [int(v) for v in boundaries]
+    cycles = list(zip(boundaries[:-1], boundaries[1:]))
+    if cycle_range is not None:
+        first, last = cycle_range
+        cycles = cycles[first - 1 : last]
+    grids = []
+    for start, end in cycles:
+        length = end - start
+        centers = ((np.arange(bins) + 0.5) * length) // bins
+        grids.append(codes[start + centers.astype(np.int64)].T)
+    lengths = np.array([end - start for start, end in cycles])
+    return np.stack(grids, axis=0), lengths
+
+
 def _sample_variance(values: np.ndarray) -> float:
     if values.shape[0] < 2:
         return 0.0

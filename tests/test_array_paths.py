@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 from gaitpass.errors import DataError
 from gaitpass.ingest import LineReader, synthesize_walker
 from gaitpass.l1g2 import CoupledStateSequence
-from gaitpass.landmark import run_statistics
+from gaitpass.landmark import CyclePartition, run_statistics
 from gaitpass.passtensor import (
     MIN_BINS,
     Passtensor,
+    build_passtensor,
     passtensor_from_text,
     passtensor_to_text,
     render_cylinder,
 )
 from gaitpass.svgfig import DEFAULT_PALETTE
 from oracles import (
+    passtensor_by_cycle,
     passtensor_to_text_by_cell,
     render_unrolled_by_cell,
     rows_by_line,
@@ -75,9 +77,55 @@ def test_passtensor_text_matches_cell_loop_and_reads_back(pt):
 # past 160 bins the cells shrink from 6 to 3 units
 @example(pt=passtensor_of(np.arange(340).reshape(2, 1, 170) // 7 % 5, (5,)))
 def test_unrolled_svg_matches_cell_loop(pt):
-    assert render_cylinder(pt, DEFAULT_PALETTE, view="unrolled") == (
+    assert render_cylinder(pt, view="unrolled") == (
         render_unrolled_by_cell(pt, DEFAULT_PALETTE)
     )
+
+
+@st.composite
+def cut_sequences(draw):
+    """Codes, cycle boundaries and bin count: cycles shorter than, equal
+    to and longer than B, with a head and a tail of any length."""
+    bins = draw(st.integers(MIN_BINS, 200))
+    lengths = draw(st.lists(
+        st.one_of(
+            st.integers(1, bins - 1), st.just(bins),
+            st.integers(bins + 1, 3 * bins),
+        ),
+        min_size=1, max_size=6,
+    ))
+    head = draw(st.integers(0, 5))
+    boundaries = np.cumsum([head] + lengths)
+    length = int(boundaries[-1]) + draw(st.integers(0, 5))
+    arity = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, 5, size=(length, arity))
+    n = len(lengths)
+    first = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    last = draw(st.sampled_from([first, n]) | st.integers(first, n))
+    cycle_range = draw(st.sampled_from([None, (first, last)]))
+    return codes, boundaries, bins, cycle_range
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cut_sequences())
+def test_passtensor_matches_cycle_loop(case):
+    codes, boundaries, bins, cycle_range = case
+    seq = CoupledStateSequence(
+        codes=codes,
+        subsystem_labels=tuple(f"c{j}" for j in range(codes.shape[1])),
+        h_per_subsystem=(5,) * codes.shape[1],
+    )
+    partition = CyclePartition(
+        landmark_state=(0,) * codes.shape[1],
+        boundaries=boundaries,
+        length=codes.shape[0],
+    )
+    pt = build_passtensor(seq, partition, bins=bins, cycle_range=cycle_range)
+    tensor, lengths = passtensor_by_cycle(codes, boundaries, bins, cycle_range)
+    assert pt.tensor.dtype == np.int64
+    assert np.array_equal(pt.tensor, tensor)
+    assert pt.raw_lengths.tolist() == lengths.tolist()
 
 
 @settings(max_examples=150, deadline=None)

@@ -337,6 +337,16 @@ CONFIG_MISTAKES = {
     "h_feet_above_subsample": (
         ["hca.max_fit_columns=100", "hca.h_feet=101"], "the 100 columns"
     ),
+    # a cap above the linkage's own ceiling once failed the fit (exit 4)
+    "max_fit_above_ceiling": (
+        ["hca.max_fit_columns=65537"],
+        "hca.max_fit_columns: 65537 above maximum 65536",
+    ),
+    # the second cycle selector, next to passtensor.cycle_range
+    "trim_edges_key": (
+        ["passtensor.trim_edges=true"],
+        "unknown config key passtensor.trim_edges",
+    ),
     # keys that once chose a linkage or labelled the frames
     "linkage_key": (["hca.linkage=ward"], "unknown config key hca.linkage"),
     "activity_key": (
@@ -354,6 +364,33 @@ def test_config_mistake_exit_2(overrides, named, tmp_path, capsys):
     for assignment in overrides:
         argv += ["--set", assignment]
     assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "config"
+    assert named in message["message"]
+    assert not out.exists()
+
+
+# Config files refused before any key is read: a root mixing integer and
+# string keys crashed sorting the unknown ones (exit 1), and a file that
+# is not UTF-8 exited 4 as a precondition.
+BAD_CONFIG_FILES = {
+    "mixed_key_types": (
+        WALK.encode() + b"1: x\nfoo: y\n", "unknown config keys [1, 'foo']"
+    ),
+    "not_utf8": (b"dataset:\n  kind: synth\xe9tic\n", "cannot read config"),
+}
+
+
+@pytest.mark.parametrize(
+    "data, named", BAD_CONFIG_FILES.values(), ids=list(BAD_CONFIG_FILES)
+)
+def test_bad_config_file_exit_2(data, named, tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["cycles", "-c", str(path), "-o", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     message = json.loads(err[0])

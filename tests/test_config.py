@@ -119,11 +119,11 @@ class TestOverrides:
         cfg = load_config(
             path,
             overrides=["coding.alpha=0.1", "pssa.n_states=500",
-                       "passtensor.trim_edges=true"],
+                       "hca.standardize=false"],
         )
         assert cfg.get_float("coding.alpha") == 0.1
         assert cfg.get_int("pssa.n_states") == 500
-        assert cfg.get_bool("passtensor.trim_edges") is True
+        assert cfg.get_bool("hca.standardize") is False
 
     def test_override_values_parse_as_yaml(self, tmp_path):
         path = write_config(tmp_path, SAMPLE)

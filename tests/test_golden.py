@@ -28,6 +28,10 @@ GOLDEN = {
         "cycles", [], "cycles.tsv",
         "f77ccdaa169c6fff6fb95a596fc9174589b72695a69008b11c30c15274165da6",
     ),
+    "cycles_report": (
+        "cycles", [], "report.json",
+        "5c8465b1492d2a4d0a28069f96d23edad722ff6f88869374ac08c199b10e8b12",
+    ),
     "passtensor": (
         "passtensor-build", [], "passtensor.txt",
         "b42f038cb31723ed43812f96d9d5551a692434afc7a8d1efe822a67a79b0a1c2",
@@ -47,6 +51,44 @@ def test_artifact_bytes_match_recorded_digest(run, tmp_path):
     out = tmp_path / "out"
     assert main([command, "-c", str(cfg), "-o", str(out)] + extra) == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest
+
+
+# The rendered views of the walker's passtensor: every view at once, and
+# the rings of one cycle instead of the skeleton.
+RENDER_GOLDEN = {
+    ("both", "rings.svg"):
+        "c89673de4bbcaa2bdf2bc9f2a178430d87902c2b5caf21f9389c9886225e229a",
+    ("both", "cylinder_unrolled.svg"):
+        "7332ea74b9b9287fcb350984f9a587ff8c62b82ef4bb7bbe614a7fb24fd7d834",
+    ("both", "cylinder_isometric.svg"):
+        "cbad51d43b4ebea6ddb24d8b6a5d78a1f1789f9ca71c853f85a04dad7b6eb1cd",
+    ("ring_cycle", "rings.svg"):
+        "0e938b423467cff9d8d283361549d965a2e1b1cac8b22b9a16f4a21481ebbe7d",
+}
+
+RENDER_SETTINGS = {"both": "  view: both\n", "ring_cycle": "  ring_cycle: 3\n"}
+
+
+@pytest.fixture(scope="module")
+def render_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("render")
+    cfg = root / "walk.yaml"
+    cfg.write_text(WALK_CFG)
+    assert main(["passtensor-build", "-c", str(cfg), "-o", str(root / "pt")]) == 0
+    for run, setting in RENDER_SETTINGS.items():
+        render_cfg = root / f"{run}.yaml"
+        render_cfg.write_text(
+            f"render:\n  passtensor: {root / 'pt' / 'passtensor.txt'}\n"
+            + setting
+        )
+        assert main(["render", "-c", str(render_cfg), "-o", str(root / run)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("run,artifact", RENDER_GOLDEN)
+def test_render_artifact_bytes_match_recorded_digest(run, artifact, render_runs):
+    data = (render_runs / run / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == RENDER_GOLDEN[run, artifact]
 
 
 # The identification path: pssa-train, then pssa-classify, over three

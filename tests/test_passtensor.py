@@ -7,21 +7,19 @@ import pytest
 
 from gaitpass.errors import CodeBookMismatchError, DataError
 from gaitpass.l1g2 import CoupledStateSequence
-from gaitpass.landmark import partition_cycles, run_statistics
+from gaitpass.landmark import CyclePartition, partition_cycles, run_statistics
 from gaitpass.passtensor import (
     MIN_BINS,
     Passtensor,
     build_passtensor,
     compare_passtensors,
     load_passtensor,
-    normalize_cycle,
     passtensor_from_text,
     passtensor_to_text,
     render_cylinder,
     render_rings,
     skeleton,
 )
-from gaitpass.svgfig import DEFAULT_PALETTE
 from oracles import bin_centers_literal, mode_literal, total_variation_literal
 
 
@@ -60,37 +58,46 @@ def periodic_pipeline(n_cycles=6, period=24, h=6):
     return seq, partition
 
 
+def partition_of(boundaries, length, arity=1):
+    """A hand-made partition of ``length`` samples at ``boundaries``."""
+    return CyclePartition(
+        landmark_state=(0,) * arity, boundaries=boundaries, length=length
+    )
+
+
 class TestNormalizeCycle:
+    """Each cycle's nearest-sample resampling inside ``build_passtensor``."""
+
     def test_length_equals_bins_is_identity(self):
         rng = np.random.default_rng(80)
         codes = rng.integers(0, 6, size=(32, 2))
         seq = coupled_of(codes)
-        grid = normalize_cycle(seq, (0, 16), bins=16)
-        assert np.array_equal(grid, codes[:16].T)
+        pt = build_passtensor(seq, partition_of([0, 16], 32, arity=2), bins=16)
+        assert np.array_equal(pt.tensor[0], codes[:16].T)
 
     def test_centers_match_integer_arithmetic(self):
         rng = np.random.default_rng(81)
         codes = rng.integers(0, 6, size=(60, 1))
         seq = coupled_of(codes)
         for start, end, bins in ((0, 20, 8), (5, 42, 16), (10, 23, 12)):
-            grid = normalize_cycle(seq, (start, end), bins)
+            pt = build_passtensor(seq, partition_of([start, end], 60), bins)
             centers = bin_centers_literal(end - start, bins)
             want = codes[[start + c for c in centers]].T
-            assert np.array_equal(grid, want)
+            assert np.array_equal(pt.tensor[0], want)
 
     def test_short_cycle_upsamples_by_repetition(self):
         seq = coupled_of([4, 5, 1, 4, 4, 4, 4, 4, 4])
-        grid = normalize_cycle(seq, (0, 3), bins=9)
-        assert grid.tolist() == [[4, 4, 4, 5, 5, 5, 1, 1, 1]]
+        pt = build_passtensor(seq, partition_of([0, 3], 9), bins=9)
+        assert pt.tensor[0].tolist() == [[4, 4, 4, 5, 5, 5, 1, 1, 1]]
 
     def test_errors(self):
         seq = coupled_of([0, 1, 2, 3])
         with pytest.raises(ValueError, match="bins"):
-            normalize_cycle(seq, (0, 4), bins=MIN_BINS - 1)
-        with pytest.raises(ValueError, match="cycle"):
-            normalize_cycle(seq, (2, 2), bins=8)
-        with pytest.raises(ValueError, match="cycle"):
-            normalize_cycle(seq, (0, 5), bins=8)
+            build_passtensor(seq, partition_of([0, 4], 4), bins=MIN_BINS - 1)
+        # an empty cycle, or one outside the sequence, has no partition
+        for boundaries in ([2, 2], [0, 5], [-1, 2], [3]):
+            with pytest.raises(ValueError, match="boundaries"):
+                partition_of(boundaries, 4)
 
 
 class TestBuildPasstensor:
@@ -111,25 +118,12 @@ class TestBuildPasstensor:
         full = build_passtensor(seq, partition, bins=8)
         assert np.array_equal(pt.tensor, full.tensor[1:4])
 
-    def test_trim_edges_drops_two_head_one_tail(self):
-        seq, partition = periodic_pipeline(n_cycles=8)
-        trimmed = build_passtensor(seq, partition, bins=8, trim_edges=True)
-        full = build_passtensor(seq, partition, bins=8)
-        assert trimmed.n_cycles == full.n_cycles - 3
-        assert np.array_equal(trimmed.tensor, full.tensor[2:-1])
-
     def test_selection_errors(self):
         seq, partition = periodic_pipeline(n_cycles=5)
-        with pytest.raises(ValueError, match="not both"):
-            build_passtensor(seq, partition, bins=8, cycle_range=(1, 2),
-                             trim_edges=True)
         with pytest.raises(ValueError, match="cycle_range"):
             build_passtensor(seq, partition, bins=8, cycle_range=(0, 2))
         with pytest.raises(ValueError, match="cycle_range"):
             build_passtensor(seq, partition, bins=8, cycle_range=(3, 9))
-        seq3, part3 = periodic_pipeline(n_cycles=4)  # 3 usable cycles
-        with pytest.raises(ValueError, match="empty"):
-            build_passtensor(seq3, part3, bins=8, trim_edges=True)
 
     def test_partition_sequence_length_checked(self):
         seq, partition = periodic_pipeline(n_cycles=6)
@@ -348,34 +342,34 @@ class TestRendering:
     def test_rings_svg_well_formed_and_deterministic(self):
         rng = np.random.default_rng(95)
         grid = rng.integers(0, 6, size=(2, 16))
-        svg = render_rings(grid, DEFAULT_PALETTE, ring_labels=("L", "R"))
+        svg = render_rings(grid, ring_labels=("L", "R"))
         assert "<svg" in svg and svg.rstrip().endswith("</svg>")
-        assert svg == render_rings(grid, DEFAULT_PALETTE, ring_labels=("L", "R"))
+        assert svg == render_rings(grid, ring_labels=("L", "R"))
         assert svg.count("<path") == 32
 
     def test_rings_input_validation(self):
         with pytest.raises(ValueError, match="grid"):
-            render_rings(np.zeros((2, 4), dtype=int), DEFAULT_PALETTE)
+            render_rings(np.zeros((2, 4), dtype=int))
         with pytest.raises(ValueError, match="palette"):
-            render_rings(np.full((1, 8), 3, dtype=int), ("#000000",))
+            render_rings(np.full((1, 8), 32, dtype=int))
 
     def test_cylinder_views(self, pipeline_clean):
         pipe = pipeline_clean
         pt = build_passtensor(pipe.coupled, pipe.partition, bins=48)
-        unrolled = render_cylinder(pt, DEFAULT_PALETTE, view="unrolled")
-        isometric = render_cylinder(pt, DEFAULT_PALETTE, view="isometric")
+        unrolled = render_cylinder(pt, view="unrolled")
+        isometric = render_cylinder(pt, view="isometric")
         assert "<svg" in unrolled and unrolled.rstrip().endswith("</svg>")
         assert "<svg" in isometric and isometric.rstrip().endswith("</svg>")
         assert f"{pt.n_cycles} cycles" in isometric
-        assert unrolled == render_cylinder(pt, DEFAULT_PALETTE, view="unrolled")
+        assert unrolled == render_cylinder(pt, view="unrolled")
         with pytest.raises(ValueError, match="view"):
-            render_cylinder(pt, DEFAULT_PALETTE, view="sideways")
+            render_cylinder(pt, view="sideways")
 
     def test_identical_cycles_collapse_to_few_rects(self, pipeline_clean):
         # jitter-free cycles are identical, so every grid row merges its
         # constant stretches into the same small rect count
         pipe = pipeline_clean
         pt = build_passtensor(pipe.coupled, pipe.partition, bins=48)
-        svg = render_cylinder(pt, DEFAULT_PALETTE, view="unrolled")
+        svg = render_cylinder(pt, view="unrolled")
         per_row = svg.count("<rect") / (pt.n_cycles * pt.n_rings)
         assert per_row <= 10

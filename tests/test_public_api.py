@@ -21,8 +21,6 @@ ALLOWED = {
 ALLOWED_PARAMETERS = {
     "main(argv)": "tests and perfbench/run.py drive the CLI in process "
                   "through it",
-    "RunConfig.get_int(hi)": "the upper bound the size-driving config keys "
-                             "are to get",
 }
 
 
