@@ -50,7 +50,7 @@ from .pssa import (
     SystemStateTable,
     build_proportion_matrix,
     build_state_table,
-    classify_segment,
+    classify_matrix,
     cluster_sigma,
     coverage_curve,
     segment_proportions,

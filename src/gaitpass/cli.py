@@ -57,6 +57,7 @@ from .landmark import (
     select_landmark,
 )
 from .passtensor import (
+    SKELETON_WEIGHT,
     build_passtensor,
     compare_passtensors,
     load_passtensor,
@@ -68,7 +69,6 @@ from .passtensor import (
 from .pssa import (
     build_proportion_matrix,
     build_state_table,
-    classification_accuracy,
     classify_matrix,
     cluster_sigma,
     coverage_curve,
@@ -79,7 +79,7 @@ from .pssa import (
     split_alternating,
     train_key_pss,
 )
-from .svgfig import render_heatmap, render_line_chart
+from .svgfig import DEFAULT_PALETTE, render_heatmap, render_line_chart
 from .symbolic import (
     coding_to_text,
     encode_ternary,
@@ -287,44 +287,30 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
             f"cycles: sensor {exc.args[0]!r} not in {sensors}"
         ) from None
 
-    stacked = stack_lr(left_t, right_t)
-    _check_h("hca.h_feet", h_feet, stacked.shape[1], max_fit)
-    for trip in extra_t:
-        _check_h("hca.h_extra", h_extra, trip.n_samples, max_fit)
-    feet_code = fit_local_code(
-        stacked,
-        h_feet,
-        source_sensors=(left, right),
-        standardize=standardize,
-        max_fit_columns=max_fit,
-    )
-    seqs = [
-        encode_subsystem(feet_code, left_t),
-        encode_subsystem(feet_code, right_t),
+    # (code book name, columns fitted, H key, H, triplets it encodes)
+    subsystems = [
+        ("feet", stack_lr(left_t, right_t), "hca.h_feet", h_feet, [left_t, right_t])
+    ] + [
+        (trip.name, trip.values, "hca.h_extra", h_extra, [trip])
+        for trip in extra_t
     ]
-    labels = [left, right]
-    codes = {"feet": feet_code}
-    for trip in extra_t:
-        code = fit_local_code(
-            trip.values,
-            h_extra,
-            source_sensors=(trip.name,),
+    for _, matrix, key, h, _ in subsystems:
+        _check_h(key, h, matrix.shape[1], max_fit)
+    codes, seqs, labels = {}, [], []
+    for name, matrix, _, h, triplets in subsystems:
+        codes[name] = fit_local_code(
+            matrix,
+            h,
+            source_sensors=tuple(trip.name for trip in triplets),
             standardize=standardize,
             max_fit_columns=max_fit,
         )
-        codes[trip.name] = code
-        seqs.append(encode_subsystem(code, trip))
-        labels.append(trip.name)
+        seqs.extend(encode_subsystem(codes[name], trip) for trip in triplets)
+        labels.extend(trip.name for trip in triplets)
 
     coupled = couple(seqs, labels)
     stats = run_statistics(coupled)
-    lm = select_landmark(
-        stats,
-        min_runs=config.get_int("cycles.min_runs", 5, lo=1),
-        recurrence_weight=config.get_float(
-            "cycles.recurrence_weight", 1.0, lo=0.0
-        ),
-    )
+    lm = select_landmark(stats, min_runs=config.get_int("cycles.min_runs", 5, lo=1))
     partition = partition_cycles(stats, lm)
     return coupled, partition, codes, labels
 
@@ -414,7 +400,13 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     if (n_states is None) == (coverage is None):
         raise ConfigError("give exactly one of pssa.n_states or pssa.coverage")
     segment_length = config.get_int("pssa.segment_length", 1000, lo=1)
-    max_keys = config.get_int("pssa.max_keys", 10, lo=1)
+    for name, frame in frames.items():  # two rows to train on, one to test
+        if frame.n_samples // segment_length < 3:
+            raise ConfigError(
+                f"pssa.segment_length: {segment_length} cuts subject {name!r} "
+                f"({frame.n_samples} samples) into fewer than the 3 segments "
+                "training needs"
+            )
 
     coding = fit_ternary(list(frames.values()), alpha, beta)
     seqs = {name: encode_ternary(f, coding) for name, f in frames.items()}
@@ -424,10 +416,8 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 
     sigma = build_proportion_matrix(seqs, pss, segment_length)
     train, test = split_alternating(sigma)
-    model = train_key_pss(train, max_keys=max_keys)
-    test_results = classify_matrix(model, test)
-    test_accuracy = classification_accuracy(test_results, test.subjects)
-    fallback_rate = sum(1 for r in test_results if r.fallback) / test.n_rows
+    model = train_key_pss(train)
+    tested = classify_matrix(model, test)
 
     row_order, col_order = cluster_sigma(train)
     reordered = train.proportions[np.ix_(row_order, col_order)]
@@ -450,8 +440,8 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         "train_rows": train.n_rows,
         "test_rows": test.n_rows,
         "train_accuracy": model.training_accuracy,
-        "test_accuracy": test_accuracy,
-        "test_fallback_rate": fallback_rate,
+        "test_accuracy": tested.accuracy(test.subjects),
+        "test_fallback_rate": float(tested.fallback.mean()),
         "margins": {s: model.margins[s] for s in model.subjects},
     }
     artifacts = {
@@ -476,21 +466,20 @@ def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 
     seqs = {name: encode_ternary(f, coding) for name, f in frames.items()}
     sigma = build_proportion_matrix(seqs, model.pss, model.segment_length)
-    results = classify_matrix(model, sigma)
+    result = classify_matrix(model, sigma)
 
     lines = ["claimed\tsegment\tpredicted\tfallback\tscore"]
-    for truth, index, result in zip(
-        sigma.subjects, sigma.segment_indices, results
+    for truth, index, predicted, fallback, score in zip(
+        sigma.subjects, sigma.segment_indices, result.predicted,
+        result.fallback.tolist(), result.score.tolist(),
     ):
-        score = result.scores.get(result.subject_id, 0.0)
         lines.append(
-            f"{truth}\t{index}\t{result.subject_id}\t"
-            f"{int(result.fallback)}\t{repr(score)}"
+            f"{truth}\t{index}\t{predicted}\t{int(fallback)}\t{repr(score)}"
         )
     report = {
         "n_rows": sigma.n_rows,
-        "accuracy_vs_claimed": classification_accuracy(results, sigma.subjects),
-        "fallback_rate": sum(1 for r in results if r.fallback) / sigma.n_rows,
+        "accuracy_vs_claimed": result.accuracy(sigma.subjects),
+        "fallback_rate": float(result.fallback.mean()),
     }
     artifacts = {
         "classifications.tsv": "\n".join(lines) + "\n",
@@ -506,17 +495,16 @@ def cmd_passtensor_compare(config: RunConfig) -> tuple[dict[str, str], list[str]
         raise ConfigError(
             f"passtensor.compare: expected [path_a, path_b], got {paths!r}"
         )
-    weight = config.get_float("passtensor.skeleton_weight", 0.7, lo=0.0, hi=1.0)
     a = load_passtensor(paths[0])
     b = load_passtensor(paths[1])
-    diff = compare_passtensors(a, b, skeleton_weight=weight)
+    diff = compare_passtensors(a, b)
     report = {
         "a": {"cycles": a.n_cycles, "rings": a.n_rings, "bins": a.n_bins},
         "b": {"cycles": b.n_cycles, "rings": b.n_rings, "bins": b.n_bins},
         "distance": diff.distance,
         "skeleton_agreement": diff.skeleton_agreement,
         "stochastic_agreement": diff.stochastic_agreement,
-        "skeleton_weight": diff.skeleton_weight,
+        "skeleton_weight": SKELETON_WEIGHT,
         "ring_agreement": {
             label: value
             for label, value in zip(a.ring_labels, diff.ring_agreement)
@@ -550,6 +538,12 @@ def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     else:
         raise ConfigError(
             f"render.ring_cycle: {ring_cycle} outside 0..{pt.n_cycles - 1}"
+        )
+    if pt.tensor.max() >= len(DEFAULT_PALETTE):
+        raise DataError(
+            f"{path}: code {pt.tensor.max()} is past the "
+            f"{len(DEFAULT_PALETTE)} colours the views draw; build the tensor "
+            f"with hca.h_feet and hca.h_extra of at most {len(DEFAULT_PALETTE)}"
         )
     artifacts = {"rings.svg": render_rings(grid, ring_labels=pt.ring_labels)}
     if view in ("unrolled", "both"):

@@ -25,12 +25,12 @@ KNOWN_KEYS = {
     "window": None,
     "coding": ("alpha", "beta"),
     "pssa": (
-        "n_states", "coverage", "segment_length", "max_keys", "model", "coding",
+        "n_states", "coverage", "segment_length", "model", "coding",
     ),
     "hca": ("h_feet", "h_extra", "standardize", "max_fit_columns"),
     "complexity": ("sensor", "h_sweep"),
-    "cycles": ("left", "right", "extra", "min_runs", "recurrence_weight"),
-    "passtensor": ("bins", "cycle_range", "compare", "skeleton_weight"),
+    "cycles": ("left", "right", "extra", "min_runs"),
+    "passtensor": ("bins", "cycle_range", "compare"),
     "render": ("passtensor", "view", "ring_cycle"),
     "output_dir": None,
 }
@@ -100,9 +100,9 @@ class RunConfig:
         value = self._require(path, default)
         return value if value is None else checked_int(path, value, lo, hi)
 
-    def get_float(self, path: str, default=_MISSING, lo=None, hi=None) -> float:
+    def get_float(self, path: str, default=_MISSING, lo=None) -> float:
         value = self._require(path, default)
-        return value if value is None else checked_float(path, value, lo, hi)
+        return value if value is None else checked_float(path, value, lo)
 
     def get_list(self, path: str, default=_MISSING) -> list:
         value = self._require(path, default)
@@ -137,8 +137,8 @@ def checked_int(path: str, value, lo=None, hi=None) -> int:
     return _in_range(path, value, lo, hi)
 
 
-def checked_float(path: str, value, lo=None, hi=None) -> float:
-    """``value`` as a float if it is a finite number in ``[lo, hi]``.
+def checked_float(path: str, value, lo=None) -> float:
+    """``value`` as a float if it is a finite number of at least ``lo``.
 
     Booleans, NaN and infinities are refused.
     """
@@ -150,7 +150,7 @@ def checked_float(path: str, value, lo=None, hi=None) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return _in_range(path, number, lo, hi)
+    return _in_range(path, number, lo, None)
 
 
 def _in_range(path: str, value, lo, hi):

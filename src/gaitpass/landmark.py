@@ -26,12 +26,10 @@ def _sample_variance(values: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StateRuns:
-    """All runs of one state: where they start, how long, how far apart."""
+    """All runs of one state: where they start and how regular they are."""
 
     state: tuple[int, ...]
     run_starts: np.ndarray
-    run_sizes: np.ndarray
-    recurrence_times: np.ndarray
     size_variance: float
     recurrence_variance: float
 
@@ -50,7 +48,6 @@ class RunStatistics:
     per_state: dict[tuple[int, ...], StateRuns]
     run_states: np.ndarray
     run_starts: np.ndarray
-    run_sizes: np.ndarray
     length: int
 
 
@@ -83,38 +80,28 @@ def run_statistics(seq: CoupledStateSequence) -> RunStatistics:
         indices = by_key[bounds[key] : bounds[key + 1]]
         state = tuple(states[first[key]].tolist())
         s_starts = starts[indices]
-        s_sizes = sizes[indices]
-        recurrence = np.diff(s_starts)
         per_state[state] = StateRuns(
             state=state,
             run_starts=s_starts,
-            run_sizes=s_sizes,
-            recurrence_times=recurrence,
-            size_variance=_sample_variance(s_sizes),
+            size_variance=_sample_variance(sizes[indices]),
             recurrence_variance=(
-                math.inf if len(indices) < 2 else _sample_variance(recurrence)
+                math.inf if len(indices) < 2 else _sample_variance(np.diff(s_starts))
             ),
         )
     return RunStatistics(
         per_state=per_state,
         run_states=states,
         run_starts=starts,
-        run_sizes=sizes,
         length=seq.n_samples,
     )
 
 
-def select_landmark(
-    stats: RunStatistics,
-    min_runs: int = 5,
-    recurrence_weight: float = 1.0,
-) -> tuple[int, ...]:
+def select_landmark(stats: RunStatistics, min_runs: int = 5) -> tuple[int, ...]:
     """Pick the state minimizing size variance + recurrence variance.
 
-    Only states with at least ``min_runs`` runs compete.  Ties go to the
-    state with more runs, then to the lexicographically smaller tuple.
-    ``recurrence_weight`` scales the recurrence term (default 1, the two
-    terms summed as-is in squared-sample units).
+    The two terms are summed as-is, in squared-sample units.  Only states
+    with at least ``min_runs`` runs compete.  Ties go to the state with
+    more runs, then to the lexicographically smaller tuple.
     """
     eligible = [
         runs for runs in stats.per_state.values() if runs.run_count >= min_runs
@@ -127,7 +114,7 @@ def select_landmark(
     best = min(
         eligible,
         key=lambda runs: (
-            runs.size_variance + recurrence_weight * runs.recurrence_variance,
+            runs.size_variance + runs.recurrence_variance,
             -runs.run_count,
             runs.state,
         ),

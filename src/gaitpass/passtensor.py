@@ -23,6 +23,10 @@ from .svgfig import DEFAULT_PALETTE, _f, check_palette, svg_document, text
 
 MIN_BINS = 8
 
+# Share of the skeleton agreement in the distance; the stochastic
+# agreement takes the rest.
+SKELETON_WEIGHT = 0.7
+
 
 @dataclass(frozen=True, eq=False)
 class Passtensor:
@@ -154,22 +158,19 @@ class PasstensorDiff:
     mismatches: tuple[tuple[int, int, int, int], ...]
     skeleton_agreement: float
     stochastic_agreement: float
-    skeleton_weight: float
     distance: float
 
 
-def compare_passtensors(
-    a: Passtensor, b: Passtensor, skeleton_weight: float = 0.7
-) -> PasstensorDiff:
+def compare_passtensors(a: Passtensor, b: Passtensor) -> PasstensorDiff:
     """Score the deterministic and stochastic disagreement of two tensors.
 
     Skeleton agreement is the fraction of (ring, bin) cells whose modal
     codes match; stochastic agreement is one minus the mean total-variation
     distance between per-cell code histograms.  The summary distance is
-    ``1 - (w * skeleton + (1 - w) * stochastic)``.  Tensors from different
-    code books are refused: cluster ids are meaningless across fits.  So
-    are tensors cut at different landmarks, whose bins hold different
-    phases of the cycle.
+    ``1 - (w * skeleton + (1 - w) * stochastic)`` with ``w`` the fixed
+    ``SKELETON_WEIGHT``.  Tensors from different code books are refused:
+    cluster ids are meaningless across fits.  So are tensors cut at
+    different landmarks, whose bins hold different phases of the cycle.
     """
     if a.code_book_id != b.code_book_id:
         raise CodeBookMismatchError(
@@ -186,8 +187,6 @@ def compare_passtensors(
         )
     if a.n_bins != b.n_bins:
         raise ValueError(f"bin counts differ: {a.n_bins} vs {b.n_bins}")
-    if not 0.0 <= skeleton_weight <= 1.0:
-        raise ValueError("skeleton_weight must lie in [0, 1]")
 
     counts_a = _code_counts(a)
     counts_b = _code_counts(b)
@@ -214,8 +213,8 @@ def compare_passtensors(
     cycle_agreement_a = np.mean(a.tensor == skel_b, axis=(1, 2))
     cycle_agreement_b = np.mean(b.tensor == skel_a, axis=(1, 2))
     distance = 1.0 - (
-        skeleton_weight * skeleton_agreement
-        + (1.0 - skeleton_weight) * stochastic_agreement
+        SKELETON_WEIGHT * skeleton_agreement
+        + (1.0 - SKELETON_WEIGHT) * stochastic_agreement
     )
     return PasstensorDiff(
         ring_agreement=ring_agreement,
@@ -224,7 +223,6 @@ def compare_passtensors(
         mismatches=mismatches,
         skeleton_agreement=skeleton_agreement,
         stochastic_agreement=stochastic_agreement,
-        skeleton_weight=skeleton_weight,
         distance=max(0.0, distance),
     )
 

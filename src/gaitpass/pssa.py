@@ -9,7 +9,9 @@ subject's segments from everyone else's.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,9 @@ from scipy.cluster import hierarchy
 
 from .ingest import LineReader, parse_file
 from .symbolic import StateVectorSequence
+
+# The most states a subject's key set holds.
+MAX_KEYS = 10
 
 
 def state_label(state) -> str:
@@ -206,26 +211,27 @@ def build_proportion_matrix(
     pss: np.ndarray,
     segment_length: int,
 ) -> ProportionMatrix:
-    """Assemble the occupancy matrix over several subjects' sequences."""
-    rows: list[np.ndarray] = []
+    """Assemble the occupancy matrix over several subjects' sequences.
+
+    A subject's list of recordings keeps one running segment index.
+    """
+    parts: list[np.ndarray] = []
     subjects: list[str] = []
-    indices: list[int] = []
     for subject, value in seqs_by_subject.items():
         seqs = value if isinstance(value, list) else [value]
-        counter = 0
-        for seq in seqs:
-            part = segment_proportions(seq, pss, segment_length)
-            for row in part:
-                rows.append(row)
-                subjects.append(subject)
-                indices.append(counter)
-                counter += 1
-    if not rows:
+        part = np.concatenate(
+            [segment_proportions(seq, pss, segment_length) for seq in seqs]
+        )
+        parts.append(part)
+        subjects.extend([subject] * part.shape[0])
+    if not subjects:
         raise ValueError("no segments produced; sequences too short?")
     return ProportionMatrix(
-        proportions=np.array(rows),
+        proportions=np.concatenate(parts),
         subjects=tuple(subjects),
-        segment_indices=tuple(indices),
+        segment_indices=tuple(
+            index for part in parts for index in range(part.shape[0])
+        ),
         pss=pss,
         segment_length=segment_length,
     )
@@ -234,10 +240,8 @@ def build_proportion_matrix(
 def _take_rows(sigma: ProportionMatrix, mask: np.ndarray) -> ProportionMatrix:
     return ProportionMatrix(
         proportions=sigma.proportions[mask],
-        subjects=tuple(s for s, keep in zip(sigma.subjects, mask) if keep),
-        segment_indices=tuple(
-            i for i, keep in zip(sigma.segment_indices, mask) if keep
-        ),
+        subjects=tuple(compress(sigma.subjects, mask)),
+        segment_indices=tuple(compress(sigma.segment_indices, mask)),
         pss=sigma.pss,
         segment_length=sigma.segment_length,
     )
@@ -276,13 +280,14 @@ class KeyPssModel:
 
 
 def _greedy_keys(
-    own: np.ndarray, others: np.ndarray, max_keys: int
+    own: np.ndarray, others: np.ndarray
 ) -> tuple[tuple[int, ...], float, float]:
     """Grow a key set maximizing min(own sums) - max(other sums).
 
-    Stops as soon as the margin is positive, or at ``max_keys`` states.
-    Returns (key set, threshold, final margin); the threshold is the
-    midpoint of the two sums defining the margin.
+    Stops as soon as the margin is positive, at ``MAX_KEYS`` states, or
+    when every principle state is in the set.  Returns (key set,
+    threshold, final margin); the threshold is the midpoint of the two
+    sums defining the margin.
     """
     n_states = own.shape[1]
     chosen: list[int] = []
@@ -290,7 +295,7 @@ def _greedy_keys(
     other_sums = np.zeros(others.shape[0])
     margin = -np.inf
     available = np.ones(n_states, dtype=bool)
-    while len(chosen) < max_keys:
+    while len(chosen) < min(MAX_KEYS, n_states):
         mins = np.min(own_sums[:, None] + own, axis=0)
         maxs = np.max(other_sums[:, None] + others, axis=0)
         margins = np.where(available, mins - maxs, -np.inf)
@@ -306,7 +311,7 @@ def _greedy_keys(
     return tuple(chosen), threshold, margin
 
 
-def train_key_pss(sigma: ProportionMatrix, max_keys: int = 10) -> KeyPssModel:
+def train_key_pss(sigma: ProportionMatrix) -> KeyPssModel:
     """Learn one key-state set per subject from a training matrix.
 
     For each subject, states are added greedily to maximize the separation
@@ -314,31 +319,25 @@ def train_key_pss(sigma: ProportionMatrix, max_keys: int = 10) -> KeyPssModel:
     highest; the firing threshold is the midpoint of that gap.  Needs at
     least two subjects with at least two segments each.
     """
-    subjects = tuple(dict.fromkeys(sigma.subjects))
-    if len(subjects) < 2:
+    counts = Counter(sigma.subjects)
+    if len(counts) < 2:
         raise ValueError("training needs at least two subjects")
-    counts = {s: 0 for s in subjects}
-    for s in sigma.subjects:
-        counts[s] += 1
     thin = [s for s, c in counts.items() if c < 2]
     if thin:
         raise ValueError(f"subjects with fewer than two segments: {thin}")
 
+    subjects = tuple(counts)
+    labels = np.array(sigma.subjects)
     key_sets: dict[str, tuple[int, ...]] = {}
     thresholds: dict[str, float] = {}
     centroids: dict[str, np.ndarray] = {}
     margins: dict[str, float] = {}
-    mask_by_subject = {
-        s: np.array([row == s for row in sigma.subjects]) for s in subjects
-    }
     for subject in subjects:
-        mask = mask_by_subject[subject]
+        mask = labels == subject
         own = sigma.proportions[mask]
-        others = sigma.proportions[~mask]
-        keys, threshold, margin = _greedy_keys(own, others, max_keys)
-        key_sets[subject] = keys
-        thresholds[subject] = threshold
-        margins[subject] = margin
+        key_sets[subject], thresholds[subject], margins[subject] = (
+            _greedy_keys(own, sigma.proportions[~mask])
+        )
         centroids[subject] = own.mean(axis=0)
 
     model = KeyPssModel(
@@ -351,70 +350,66 @@ def train_key_pss(sigma: ProportionMatrix, max_keys: int = 10) -> KeyPssModel:
         segment_length=sigma.segment_length,
         training_accuracy=0.0,
     )
-    accuracy = classification_accuracy(classify_matrix(model, sigma), sigma.subjects)
+    accuracy = classify_matrix(model, sigma).accuracy(sigma.subjects)
     return replace(model, training_accuracy=accuracy)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    """Outcome for one segment: chosen subject plus the score breakdown."""
+@dataclass(frozen=True, eq=False)
+class Classification:
+    """Per-row outcome of attributing a matrix's rows to subjects.
 
-    subject_id: str
-    fallback: bool
-    scores: dict[str, float]
+    ``predicted`` holds each row's subject, ``fallback`` marks the rows no
+    rule fired for, and ``score`` is the predicted subject's relative margin.
+    """
+
+    predicted: tuple[str, ...]
+    fallback: np.ndarray
+    score: np.ndarray
+
+    def accuracy(self, subjects: tuple[str, ...]) -> float:
+        """Fraction of rows attributed to their labeled subject."""
+        correct = sum(p == t for p, t in zip(self.predicted, subjects))
+        return correct / float(len(self.predicted))
 
 
-def classify_segment(
-    model: KeyPssModel, proportions: np.ndarray
-) -> ClassificationResult:
-    """Attribute one occupancy row to a subject.
+def classify_matrix(model: KeyPssModel, sigma: ProportionMatrix) -> Classification:
+    """Attribute each occupancy row to a subject.
 
     Each subject's rule fires when the summed occupancy over its key set
     exceeds its threshold; among firing rules the largest relative margin
     wins.  When no rule fires, the nearest training centroid (Euclidean,
-    over the full row) decides and ``fallback`` is set.
+    over the full row) decides and the row is marked as a fallback.
     """
-    proportions = np.asarray(proportions, dtype=float).ravel()
-    if proportions.shape[0] != model.n_states:
+    if sigma.n_states != model.n_states:
         raise ValueError(
-            f"row has {proportions.shape[0]} states, model has {model.n_states}"
+            f"rows have {sigma.n_states} states, model has {model.n_states}"
         )
-    scores: dict[str, float] = {}
-    fired: list[tuple[float, str]] = []
-    for subject in model.subjects:
-        total = float(proportions[list(model.key_sets[subject])].sum())
-        threshold = model.thresholds[subject]
-        rel = (total - threshold) / max(abs(threshold), 1e-12)
-        scores[subject] = rel
-        if total > threshold:
-            fired.append((rel, subject))
-    if fired:
-        best = max(fired, key=lambda pair: pair[0])
-        return ClassificationResult(
-            subject_id=best[1], fallback=False, scores=scores
-        )
-    dists = {
-        subject: float(np.linalg.norm(proportions - model.centroids[subject]))
-        for subject in model.subjects
-    }
-    best_subject = min(model.subjects, key=lambda s: dists[s])
-    return ClassificationResult(
-        subject_id=best_subject, fallback=True, scores=scores
+    key_lists = [list(model.key_sets[s]) for s in model.subjects]
+    thresholds = [model.thresholds[s] for s in model.subjects]
+    centroids = [model.centroids[s] for s in model.subjects]
+    predicted, fallback, score = [], [], []
+    # One 1-D sum and one 1-D norm per row and subject: an axis-1 reduction
+    # over the matrix adds in another order and moves the last bits.
+    for row in sigma.proportions:
+        totals = [float(row[keys].sum()) for keys in key_lists]
+        rels = [
+            (total - threshold) / max(abs(threshold), 1e-12)
+            for total, threshold in zip(totals, thresholds)
+        ]
+        fired = [j for j, threshold in enumerate(thresholds) if totals[j] > threshold]
+        if fired:
+            best = max(fired, key=rels.__getitem__)
+        else:
+            dists = [float(np.linalg.norm(row - c)) for c in centroids]
+            best = dists.index(min(dists))
+        predicted.append(model.subjects[best])
+        fallback.append(not fired)
+        score.append(rels[best])
+    return Classification(
+        predicted=tuple(predicted),
+        fallback=np.array(fallback, dtype=bool),
+        score=np.array(score),
     )
-
-
-def classify_matrix(
-    model: KeyPssModel, sigma: ProportionMatrix
-) -> list[ClassificationResult]:
-    return [classify_segment(model, row) for row in sigma.proportions]
-
-
-def classification_accuracy(
-    results: list[ClassificationResult], subjects: tuple[str, ...]
-) -> float:
-    """Fraction of classified rows attributed to their labeled subject."""
-    correct = sum(r.subject_id == truth for r, truth in zip(results, subjects))
-    return correct / float(len(results))
 
 
 def cluster_sigma(sigma: ProportionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -492,7 +487,10 @@ def model_from_text(text: str) -> KeyPssModel:
     for _ in range(lines.value("subjects", int)):
         subject = lines.rest("subject")
         subjects.append(subject)
-        key_sets[subject] = tuple(lines.values("keys", int))
+        keys = lines.values("keys", int)
+        if not keys or len(set(keys).intersection(range(n_states))) < len(keys):
+            raise lines.error(f"keys {keys} must be distinct indices below {n_states}")
+        key_sets[subject] = tuple(keys)
         thresholds[subject] = lines.value("threshold")
         margins[subject] = lines.value("margin")
         centroids[subject] = np.array(lines.values("centroid", float, n_states))

@@ -525,3 +525,40 @@ def walker_values_by_cycle(
 
     values = np.concatenate(columns, axis=1)
     return values + offset + noise * rng.standard_normal(values.shape)
+
+
+# ---------------------------------------------------------------------------
+# key-state attribution: one result object per row, as the library scored
+# segments before it returned one result for the whole matrix
+# ---------------------------------------------------------------------------
+
+def classify_rows_literal(model, proportions) -> list[tuple[str, bool, float]]:
+    """``(predicted, fallback, score)`` of each row, one row at a time.
+
+    Each subject's rule fires when the summed occupancy over its key set
+    exceeds its threshold; among firing rules the largest relative margin
+    wins.  When no rule fires, the nearest training centroid decides.  The
+    score is the winner's relative margin.
+    """
+    results = []
+    for row in np.asarray(proportions, dtype=float):
+        scores: dict[str, float] = {}
+        fired: list[tuple[float, str]] = []
+        for subject in model.subjects:
+            total = float(row[list(model.key_sets[subject])].sum())
+            threshold = model.thresholds[subject]
+            rel = (total - threshold) / max(abs(threshold), 1e-12)
+            scores[subject] = rel
+            if total > threshold:
+                fired.append((rel, subject))
+        if fired:
+            best = max(fired, key=lambda pair: pair[0])[1]
+            results.append((best, False, scores[best]))
+            continue
+        dists = {
+            subject: float(np.linalg.norm(row - model.centroids[subject]))
+            for subject in model.subjects
+        }
+        best = min(model.subjects, key=lambda s: dists[s])
+        results.append((best, True, scores[best]))
+    return results

@@ -34,7 +34,6 @@ from gaitpass.passtensor import (
 from gaitpass.pssa import (
     build_proportion_matrix,
     build_state_table,
-    classification_accuracy,
     classify_matrix,
     select_pss,
     split_alternating,
@@ -132,8 +131,8 @@ def _pssa_accuracy(seqs_by_subject, n_states, segment_length):
     sigma = build_proportion_matrix(seqs_by_subject, pss, segment_length)
     train, test = split_alternating(sigma)
     model = train_key_pss(train)
-    return model.training_accuracy, classification_accuracy(
-        classify_matrix(model, test), test.subjects
+    return model.training_accuracy, classify_matrix(model, test).accuracy(
+        test.subjects
     )
 
 

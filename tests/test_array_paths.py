@@ -150,12 +150,14 @@ def test_run_statistics_match_dict_loop(arity, length, h, seed):
     order, want = run_statistics_by_dict(codes)
     assert stats.run_states.tolist() == [list(state) for state in order]
     assert list(stats.per_state) == list(want)
+    all_sizes = np.diff(np.append(stats.run_starts, stats.length))
     for state, runs in stats.per_state.items():
         starts, sizes, recurrence, size_var, recurrence_var = want[state]
         assert runs.state == state
         assert runs.run_starts.tolist() == starts.tolist()
-        assert runs.run_sizes.tolist() == sizes.tolist()
-        assert runs.recurrence_times.tolist() == recurrence.tolist()
+        own = np.searchsorted(stats.run_starts, runs.run_starts)
+        assert all_sizes[own].tolist() == sizes.tolist()
+        assert np.diff(runs.run_starts).tolist() == recurrence.tolist()
         assert runs.size_variance == size_var
         assert runs.recurrence_variance == recurrence_var
 

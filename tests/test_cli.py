@@ -46,7 +46,6 @@ coding:
 pssa:
   coverage: 0.95
   segment_length: 100
-  max_keys: 10
 """
 
 
@@ -403,8 +402,8 @@ def test_bad_config_file_exit_2(data, named, tmp_path, capsys):
 # (window=[true, 600] cut from sample 1), a zero or NaN coverage failed
 # only later, as a precondition (exit 4), a subject seed of 1.7 ran as 1,
 # passtensor.compare: [1, 2] crashed opening Path(1), a misspelt subject
-# key was ignored, a NaN offset exited 4 naming no key, an infinite
-# recurrence weight ran and one beyond the float range crashed.
+# key was ignored, a NaN offset exited 4 naming no key, and an infinite
+# float setting ran and one beyond the float range crashed.
 # A MAREA config whose file is never read: the sensor list is checked first.
 MAREA = "dataset:\n  kind: marea\n  subjects:\n    walkerA: walker.txt\n"
 SEED = "dataset.subjects.walkerA.seed"
@@ -431,13 +430,9 @@ LOOSE_VALUES = {
     "seed_negative": ("cycles", WALK, f"{SEED}=-1", SEED),
     "offset_text": ("cycles", WALK, f"{OFFSET}=x", OFFSET),
     "offset_nan": ("cycles", WALK, f"{OFFSET}=.nan", OFFSET),
-    "recurrence_weight_inf": (
-        "cycles", WALK, "cycles.recurrence_weight=.inf",
-        "cycles.recurrence_weight",
-    ),
-    "recurrence_weight_huge": (
-        "cycles", WALK, "cycles.recurrence_weight=1" + "0" * 400,
-        "cycles.recurrence_weight",
+    "noise_inf": ("cycles", WALK, "dataset.noise=.inf", "dataset.noise"),
+    "noise_huge": (
+        "cycles", WALK, "dataset.noise=1" + "0" * 400, "dataset.noise",
     ),
     "subject_unknown_key": (
         "cycles", WALK, "dataset.subjects.walkerA.ofset=3.0",
@@ -565,9 +560,28 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("damage", [None, header_cut, garbled],
-                         ids=["missing", "header_cut", "garbled"])
-@pytest.mark.parametrize("key", READERS)
+def first_keys(rest):
+    """Damage: a model's first ``keys`` line holding ``rest`` instead."""
+    return lambda text: replaced_line(text, "keys", rest)[0]
+
+
+DAMAGES = {"missing": None, "header_cut": header_cut, "garbled": garbled}
+BAD_INPUTS = {
+    f"{key}-{name}": (key, damage)
+    for key in READERS
+    for name, damage in DAMAGES.items()
+}
+# key sets that are empty, repeat a state or leave the principle states
+BAD_INPUTS.update({
+    f"pssa.model-keys_{name}": ("pssa.model", first_keys(rest))
+    for name, rest in (
+        ("past_states", "99"), ("negative", "-1"), ("empty", ""),
+        ("repeated", "0 0"),
+    )
+})
+
+
+@pytest.mark.parametrize("key, damage", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
 def test_bad_persisted_input_exit_3(key, damage, persisted_files, tmp_path, capsys):
     bad = tmp_path / READERS[key]
     if damage is not None:
@@ -647,3 +661,58 @@ def test_passtensor_landmark_outside_rings_exit_3(
     bad.write_text(replaced_line(text, "landmark", landmark)[0])
     message = data_error_of_reading(key, bad, persisted_files, tmp_path, capsys)
     assert f"{bad}: landmark" in message
+
+
+def test_model_key_set_error_names_line(persisted_files, tmp_path, capsys):
+    bad = tmp_path / "model.txt"
+    text, line = replaced_line(
+        persisted_files["model.txt"].read_text(), "keys", "0 0"
+    )
+    bad.write_text(text)
+    message = data_error_of_reading(
+        "pssa.model", bad, persisted_files, tmp_path, capsys
+    )
+    assert f"{bad}: line {line}: keys [0, 0]" in message
+
+
+# Segment lengths that leave the PAIR subjects (641 and 643 samples) fewer
+# than the 3 segments training needs: no segment at all, one segment each
+# (no test row), and two segments for ann (one training row).
+@pytest.mark.parametrize("length", [700, 400, 214])
+def test_segment_length_past_recordings_exit_2(length, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["pssa-train", "-c", config_file(tmp_path, PAIR), "-o", str(out),
+                 "--set", f"pssa.segment_length={length}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "config"
+    assert message["message"].startswith(f"pssa.segment_length: {length} ")
+    assert "'ann' (641 samples)" in message["message"]
+    assert not out.exists()
+
+
+def test_three_segments_per_subject_train(tmp_path):
+    out = tmp_path / "out"
+    assert main(["pssa-train", "-c", config_file(tmp_path, PAIR), "-o", str(out),
+                 "--set", "pssa.segment_length=213"]) == 0
+    assert json.loads((out / "report.json").read_text())["test_rows"] == 2
+
+
+def test_render_codes_past_palette_exit_3(persisted_files, tmp_path, capsys):
+    # the first ring's alphabet widened to 40 and one of its codes set to 35
+    text = persisted_files["passtensor.txt"].read_text()
+    sizes = next(line for line in text.splitlines()
+                 if line.startswith("alphabets ")).split()[1:]
+    text = replaced_line(text, "alphabets", " ".join(["40"] + sizes[1:]))[0]
+    lines = text.splitlines()
+    row = lines.index("tensor") + 1
+    lines[row] = "35" + lines[row][lines[row].index(" "):]
+    bad = tmp_path / "passtensor.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    message = data_error_of_reading(
+        "render.passtensor", bad, persisted_files, tmp_path, capsys
+    )
+    assert message.startswith(f"{bad}: code 35 ")
+    for named in ("32 colours", "hca.h_feet", "hca.h_extra"):
+        assert named in message

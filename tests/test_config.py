@@ -1,6 +1,6 @@
 """Config loading, typed getters, overrides, hashing."""
 
-import re
+import ast
 from pathlib import Path
 
 import pytest
@@ -74,7 +74,7 @@ class TestGetters:
         with pytest.raises(ConfigError, match="below minimum"):
             cfg.get_int("cycles.min_runs", lo=10)
         with pytest.raises(ConfigError, match="above maximum"):
-            cfg.get_float("coding.beta", hi=0.5)
+            cfg.get_int("cycles.min_runs", hi=2)
 
     def test_unknown_sections_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -103,12 +103,24 @@ class TestSchema:
         assert cfg.get_map("dataset.subjects")["a"]["any"] == 2
 
     def test_schema_lists_exactly_the_keys_the_cli_reads(self):
-        source = Path(cli.__file__).read_text()
-        read = set(re.findall(r'config\.get_\w+\(\s*"(\w+\.\w+)"', source))
+        # A key dropped from cli.py but left in KNOWN_KEYS would be
+        # accepted and silently ignored.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        first_arguments = [
+            node.args[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr.startswith("get_")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "config"
+        ]
+        assert all(isinstance(arg, ast.Constant) for arg in first_arguments)
+        read = {arg.value for arg in first_arguments}
         known = {
-            f"{section}.{key}"
+            section if keys is None else f"{section}.{key}"
             for section, keys in KNOWN_KEYS.items()
-            for key in keys or ()
+            for key in keys or (None,)
         }
         assert read == known
 

@@ -9,6 +9,7 @@ with a deliberate change of output, and say so.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -118,8 +119,20 @@ def marea_text(values) -> str:
     return "".join(" ".join("%.6f" % v for v in row) + "\n" for row in values.T)
 
 
+# Settings of the identification runs.  The second scores segments of 50
+# samples over 8 principle states, where some rows fire no rule and fall
+# back to the nearest centroid; the third gives 4 states, so a key set can
+# use up every principle state.
+IDENTIFY_SETTINGS = {
+    "coverage": "  coverage: 0.95\n  segment_length: 100\n",
+    "fallback": "  n_states: 8\n  segment_length: 50\n",
+    "exhausted": "  n_states: 4\n  segment_length: 50\n",
+}
+
+
 @pytest.fixture(scope="module")
-def identify_runs(tmp_path_factory):
+def identify_run(tmp_path_factory):
+    """Directory of the train and classify runs under one of the settings."""
     root = tmp_path_factory.mktemp("identify")
     dataset = "dataset:\n  kind: marea\n  subjects:\n"
     for k in range(3):
@@ -130,25 +143,121 @@ def identify_runs(tmp_path_factory):
         path = root / f"subject{k}.txt"
         path.write_text(marea_text(walk.frame.values))
         dataset += f"    s{k}: {path}\n"
-    pssa = "pssa:\n  coverage: 0.95\n  segment_length: 100\n"
-    train_cfg = root / "train.yaml"
-    train_cfg.write_text(dataset + pssa)
-    classify_cfg = root / "classify.yaml"
-    classify_cfg.write_text(
-        dataset + pssa + f"  model: {root / 'train' / 'model.txt'}\n"
-        f"  coding: {root / 'train' / 'coding.txt'}\n"
-    )
-    assert main(["pssa-train", "-c", str(train_cfg), "-o", str(root / "train")]) == 0
-    assert main(["pssa-classify", "-c", str(classify_cfg),
-                 "-o", str(root / "classify")]) == 0
-    return root
+    runs = {}
+
+    def run(setting):
+        if setting not in runs:
+            where = root / setting
+            where.mkdir()
+            pssa = "pssa:\n" + IDENTIFY_SETTINGS[setting]
+            train_cfg = where / "train.yaml"
+            train_cfg.write_text(dataset + pssa)
+            classify_cfg = where / "classify.yaml"
+            classify_cfg.write_text(
+                dataset + pssa + f"  model: {where / 'train' / 'model.txt'}\n"
+                f"  coding: {where / 'train' / 'coding.txt'}\n"
+            )
+            assert main(["pssa-train", "-c", str(train_cfg),
+                         "-o", str(where / "train")]) == 0
+            assert main(["pssa-classify", "-c", str(classify_cfg),
+                         "-o", str(where / "classify")]) == 0
+            runs[setting] = where
+        return runs[setting]
+
+    return run
 
 
 @pytest.mark.parametrize("artifact", IDENTIFY_GOLDEN)
-def test_identify_artifact_bytes_match_recorded_digest(artifact, identify_runs):
+def test_identify_artifact_bytes_match_recorded_digest(artifact, identify_run):
     run, digest = IDENTIFY_GOLDEN[artifact]
-    data = (identify_runs / run / artifact).read_bytes()
+    data = (identify_run("coverage") / run / artifact).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# More artifacts of the identification path, by setting, run and file.
+IDENTIFY_MORE_GOLDEN = {
+    ("coverage", "train", "report.json"):
+        "5a36989f6c591df686ff24cef91f08c3373944a22756239a3f1bfe80d8ea0267",
+    ("coverage", "classify", "report.json"):
+        "db63871c890f94d84e6d6adcb3e0aedec21a1fabd63a9c9fddde0759804763f1",
+    ("coverage", "train", "coding.txt"):
+        "e2c355108588620a9b7a4462c88b8c2d3ca25400437f380bf1710fff90a3b1b8",
+    ("coverage", "train", "sigma_heatmap.svg"):
+        "f142c23cd131fdb29abbd6462f2e038a4bbf54074f88885cba148ea6c050e207",
+    ("fallback", "train", "model.txt"):
+        "56573fb00696ac8c5162b056b7a94ed3fbc0eb0ca527abd8c0ad84e1f0dd9635",
+    ("fallback", "classify", "classifications.tsv"):
+        "0825c6890e816fffd0df7e7a25706b467eb4660abfea7f01f3aa19390e80e090",
+    ("fallback", "train", "report.json"):
+        "240feb61bad556fc7066e55a4ca1b4c144289bd21af0ff22f3262eb7c11a77f3",
+    ("fallback", "classify", "report.json"):
+        "cf7f47f2c698a1a187973a7a1fdba1502751403a10cb84425bbdaeaaefe615e8",
+    # recorded after key sets stopped growing once every state was in them
+    ("exhausted", "train", "model.txt"):
+        "415500f0eda7a8fb1787c14155e83315b6c0d2bc4a696cf8ce2921b0dadc2076",
+    ("exhausted", "classify", "classifications.tsv"):
+        "be503942cb9845625e9e256ea420b1db43564fa891275840707d3a003c01896f",
+    ("exhausted", "train", "report.json"):
+        "8ef6975f79bf266dc3c8e3306693e7729e6e8f05e8fbd57c138913531c70082c",
+    ("exhausted", "classify", "report.json"):
+        "cc0216903a20033597b17b87f11cfe4eedd4dc10273fac3a15ad0bd97e686abf",
+}
+
+
+@pytest.mark.parametrize(
+    "setting, run, artifact", IDENTIFY_MORE_GOLDEN,
+    ids=["/".join(key) for key in IDENTIFY_MORE_GOLDEN],
+)
+def test_identify_more_bytes_match_recorded_digest(
+    setting, run, artifact, identify_run
+):
+    data = (identify_run(setting) / run / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == IDENTIFY_MORE_GOLDEN[
+        setting, run, artifact
+    ]
+
+
+def test_fallback_setting_falls_back(identify_run):
+    where = identify_run("fallback")
+    train = json.loads((where / "train" / "report.json").read_text())
+    classify = json.loads((where / "classify" / "report.json").read_text())
+    assert 0.0 < train["test_fallback_rate"] < 1.0
+    assert 0.0 < classify["fallback_rate"] < 1.0
+
+
+@pytest.mark.parametrize("setting", ["fallback", "exhausted"])
+def test_key_sets_hold_distinct_states(setting, identify_run):
+    text = (identify_run(setting) / "train" / "model.txt").read_text()
+    key_sets = [line.split()[1:] for line in text.splitlines()
+                if line.startswith("keys ")]
+    assert len(key_sets) == 3
+    assert all(len(set(keys)) == len(keys) for keys in key_sets)
+    if setting == "exhausted":
+        # a key set that ran out of principle states holds all of them
+        assert max(map(len, key_sets)) == 4
+
+
+# Two cycle ranges of the walker's passtensor, compared.
+COMPARE_DIGEST = (
+    "4ede46dff335f7263cfbed09511796b9cdc9f1d10b392a6532bf1adabb6feec1"
+)
+
+
+def test_compare_report_bytes_match_recorded_digest(tmp_path):
+    cfg = tmp_path / "walk.yaml"
+    cfg.write_text(WALK_CFG)
+    paths = []
+    for first, last in ((1, 4), (5, 8)):
+        out = tmp_path / f"pt{first}"
+        assert main(["passtensor-build", "-c", str(cfg), "-o", str(out),
+                     "--set", f"passtensor.cycle_range=[{first}, {last}]"]) == 0
+        paths.append(out / "passtensor.txt")
+    compare_cfg = tmp_path / "compare.yaml"
+    compare_cfg.write_text(f"passtensor:\n  compare: [{paths[0]}, {paths[1]}]\n")
+    out = tmp_path / "compare"
+    assert main(["passtensor-compare", "-c", str(compare_cfg), "-o", str(out)]) == 0
+    data = (out / "diff_report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == COMPARE_DIGEST
 
 
 # The tie path of the linkage: readings rounded to integer counts repeat

@@ -17,9 +17,14 @@ from gaitpass.landmark import (
 from oracles import runs_literal, sample_variance_literal
 
 
+def run_sizes(stats):
+    """Length of each run: the gap to the next run start or the end."""
+    return np.diff(np.append(stats.run_starts, stats.length))
+
+
 def expand(stats):
     """Rebuild the T x k code matrix from the run encoding."""
-    return np.repeat(stats.run_states, stats.run_sizes, axis=0)
+    return np.repeat(stats.run_states, run_sizes(stats), axis=0)
 
 
 def coupled(rows, h=None):
@@ -43,7 +48,7 @@ class TestRunStatistics:
         want = runs_literal(codes)
         assert stats.run_states.tolist() == [list(w[0]) for w in want]
         assert stats.run_starts.tolist() == [w[1] for w in want]
-        assert stats.run_sizes.tolist() == [w[2] for w in want]
+        assert run_sizes(stats).tolist() == [w[2] for w in want]
         assert stats.length == 200
 
     def test_per_state_grouping_and_variances(self):
@@ -51,8 +56,8 @@ class TestRunStatistics:
         stats = run_statistics(coupled([7, 7, 3, 3, 3, 7]))
         seven = stats.per_state[(7,)]
         assert seven.run_starts.tolist() == [0, 5]
-        assert seven.run_sizes.tolist() == [2, 1]
-        assert seven.recurrence_times.tolist() == [5]
+        runs = np.searchsorted(stats.run_starts, seven.run_starts)
+        assert run_sizes(stats)[runs].tolist() == [2, 1]
         assert seven.size_variance == sample_variance_literal([2, 1])
         # one recurrence observation -> defined, zero spread
         assert seven.recurrence_variance == 0.0
@@ -81,7 +86,7 @@ class TestRunStatistics:
         stats = run_statistics(coupled(codes))
         assert np.array_equal(expand(stats), codes)
         # run sizes tile the sequence exactly
-        assert int(stats.run_sizes.sum()) == len(symbols)
+        assert int(run_sizes(stats).sum()) == len(symbols)
 
 
 class TestSelectLandmark:
@@ -105,15 +110,21 @@ class TestSelectLandmark:
         stats = run_statistics(coupled([0, 1] * 10))
         assert select_landmark(stats, min_runs=2) == (0,)
 
-    def test_recurrence_weight_changes_objective(self):
-        # state 4: constant sizes, wobbly spacing; state 6: wobbly sizes,
-        # constant spacing.  weight 0 scores size variance only.
-        base = [4, 6, 6, 5, 4, 6, 5, 5, 4, 6, 6, 6, 5, 4, 6, 5, 5, 5]
-        stats = run_statistics(coupled(base * 3))
-        assert select_landmark(stats, min_runs=3, recurrence_weight=0.0) == (4,)
-        four = stats.per_state[(4,)]
-        assert four.size_variance == 0.0
-        assert four.recurrence_variance > 0.0
+    def test_objective_sums_both_variances(self):
+        # state 3: constant sizes, wobbly spacing; state 9: wobbly sizes,
+        # constant spacing.  Size variance alone would pick 3; the sum
+        # picks 9.
+        base = [9, 1, 1, 3, 2, 2, 9, 9, 1, 2, 3, 2]
+        stats = run_statistics(coupled(base * 4))
+        objective = {
+            state: runs.size_variance + runs.recurrence_variance
+            for state, runs in stats.per_state.items()
+        }
+        assert select_landmark(stats, min_runs=3) == (9,)
+        assert min(objective, key=objective.get) == (9,)
+        three, nine = stats.per_state[(3,)], stats.per_state[(9,)]
+        assert three.size_variance == 0.0 < nine.size_variance
+        assert nine.recurrence_variance == 0.0 < three.recurrence_variance
 
 
 class TestPartitionCycles:

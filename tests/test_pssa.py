@@ -10,10 +10,9 @@ from gaitpass.pssa import (
     ProportionMatrix,
     SystemStateTable,
     build_proportion_matrix,
+    KeyPssModel,
     build_state_table,
-    classification_accuracy,
     classify_matrix,
-    classify_segment,
     cluster_sigma,
     coverage_curve,
     model_from_text,
@@ -27,6 +26,7 @@ from gaitpass.pssa import (
 )
 from gaitpass.symbolic import StateVectorSequence
 from oracles import (
+    classify_rows_literal,
     segment_proportions_by_dict,
     segment_proportions_literal,
     state_table_by_rows,
@@ -200,6 +200,17 @@ def two_subject_sigma():
     )
 
 
+def one_row(values):
+    """A one-row matrix over as many principle states as ``values`` holds."""
+    return ProportionMatrix(
+        proportions=np.array([values]),
+        subjects=("?",),
+        segment_indices=(0,),
+        pss=np.array([[k + 1, k + 1] for k in range(len(values))], dtype=np.uint8),
+        segment_length=10,
+    )
+
+
 class TestProportionMatrix:
     def test_build_from_dict(self):
         rng = np.random.default_rng(41)
@@ -257,21 +268,21 @@ class TestTrainAndClassify:
 
     def test_classify_firing_rule(self):
         model = train_key_pss(two_subject_sigma())
-        result = classify_segment(model, np.array([0.75, 0.15]))
-        assert result.subject_id == "A"
-        assert not result.fallback
-        assert result.scores["A"] > 0 > result.scores["B"]
+        result = classify_matrix(model, one_row([0.75, 0.15]))
+        assert result.predicted == ("A",)
+        assert not result.fallback[0]
+        assert result.score[0] > 0
 
     def test_classify_fallback_to_nearest_centroid(self):
         model = train_key_pss(two_subject_sigma())
-        result = classify_segment(model, np.array([0.35, 0.3]))
-        assert result.fallback
-        assert result.subject_id == "A"
+        result = classify_matrix(model, one_row([0.35, 0.3]))
+        assert result.fallback[0]
+        assert result.predicted == ("A",)
 
     def test_classify_row_length_checked(self):
         model = train_key_pss(two_subject_sigma())
         with pytest.raises(ValueError, match="states"):
-            classify_segment(model, np.array([0.5, 0.5, 0.0]))
+            classify_matrix(model, one_row([0.5, 0.5, 0.0]))
 
     def test_training_preconditions(self):
         sigma = two_subject_sigma()
@@ -310,10 +321,94 @@ class TestTrainAndClassify:
         train, test = split_alternating(sigma)
         model = train_key_pss(train)
         assert model.training_accuracy == 1.0
-        assert classification_accuracy(
-            classify_matrix(model, test), test.subjects
-        ) == 1.0
-        assert all(not r.fallback for r in classify_matrix(model, test))
+        tested = classify_matrix(model, test)
+        assert tested.accuracy(test.subjects) == 1.0
+        assert not tested.fallback.any()
+
+
+def quantized_rows(rng, n, n_states):
+    """``n`` occupancy rows rounded down to hundredths, so rows sum to <= 1."""
+    raw = rng.dirichlet(np.ones(n_states + 1), size=n)[:, :n_states]
+    return np.floor(raw * 100) / 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_subjects=st.integers(2, 7),
+    n_states=st.integers(1, 14),
+    model_kind=st.sampled_from(["trained", "random", "tied"]),
+)
+def test_classify_matrix_matches_row_by_row_oracle(
+    seed, n_subjects, n_states, model_kind
+):
+    # Rows rounded to hundredths, and rows repeating training rows, put
+    # some rows at nearly equal distance from two centroids.  A "tied"
+    # model's centroids lie at one offset, permuted, from a row that no
+    # rule fires for, so its distances tie up to the order of summation.
+    rng = np.random.default_rng(seed)
+    subjects = tuple(f"s{k}" for k in range(n_subjects))
+    counts = rng.integers(2, 5, size=n_subjects)
+    train = ProportionMatrix(
+        proportions=quantized_rows(rng, int(counts.sum()), n_states),
+        subjects=tuple(np.repeat(subjects, counts).tolist()),
+        segment_indices=tuple(range(int(counts.sum()))),
+        pss=np.arange(n_states, dtype=np.uint8)[:, None],
+        segment_length=100,
+    )
+    rows = np.concatenate([
+        train.proportions[rng.integers(0, train.n_rows, size=6)],
+        quantized_rows(rng, 10, n_states),
+    ])
+    if model_kind == "trained":
+        model = train_key_pss(train)
+    else:
+        labels = np.array(train.subjects)
+        centroids = {
+            s: train.proportions[labels == s].mean(axis=0) for s in subjects
+        }
+        thresholds = {s: float(rng.integers(0, 60)) / 100 for s in subjects}
+        if model_kind == "tied":
+            anchor = rows[-1]
+            offset = np.round(rng.normal(0.0, 0.05, n_states), 2)
+            centroids = {
+                s: anchor + offset[rng.permutation(n_states)] for s in subjects
+            }
+            thresholds = dict.fromkeys(subjects, 1.0)
+            rows = np.concatenate([rows, np.repeat(anchor[None, :], 4, axis=0)])
+        model = KeyPssModel(
+            subjects=subjects,
+            pss=train.pss,
+            key_sets={
+                s: tuple(rng.permutation(n_states)[
+                    : rng.integers(1, min(10, n_states) + 1)].tolist())
+                for s in subjects
+            },
+            thresholds=thresholds,
+            centroids=centroids,
+            margins=dict.fromkeys(subjects, 0.0),
+            segment_length=100,
+            training_accuracy=0.0,
+        )
+    sigma = ProportionMatrix(
+        proportions=rows,
+        subjects=("?",) * rows.shape[0],
+        segment_indices=tuple(range(rows.shape[0])),
+        pss=train.pss,
+        segment_length=100,
+    )
+    result = classify_matrix(model, sigma)
+    got = [
+        (predicted, fallback, repr(score))
+        for predicted, fallback, score in zip(
+            result.predicted, result.fallback.tolist(), result.score.tolist()
+        )
+    ]
+    want = [
+        (predicted, fallback, repr(score))
+        for predicted, fallback, score in classify_rows_literal(model, rows)
+    ]
+    assert got == want
 
 
 class TestSigmaArtifacts:
