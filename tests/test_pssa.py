@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from gaitpass.errors import DataError
 from gaitpass.pssa import (
+    KeyPssModel,
     ProportionMatrix,
     SystemStateTable,
     build_proportion_matrix,
-    KeyPssModel,
     build_state_table,
     classify_matrix,
     cluster_sigma,
