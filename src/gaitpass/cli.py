@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 from pathlib import Path
@@ -92,6 +93,70 @@ from .symbolic import (
 # dataset loading
 # ---------------------------------------------------------------------------
 
+def _load_file(kind: str, path: str, sensors: tuple[str, ...]) -> TimeSeriesFrame:
+    if kind == "marea":
+        return load_marea(path, sensors)
+    return load_hugadb(path)
+
+
+def _file_fields(kind: str, path: str, sensors: tuple[str, ...]):
+    # What a worker sends back: the selected channel matrix and its labels.
+    # The parent builds the frame, so its values stay read-only.
+    frame = _load_file(kind, path, sensors)
+    return frame.values, frame.channels, frame.sample_rate_hz
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _load_files(
+    kind: str, paths: list[str], sensors: tuple[str, ...]
+) -> list[TimeSeriesFrame]:
+    """Load the dataset files, in forked workers when there are several.
+
+    ``np.loadtxt`` holds the GIL, so only processes parse files at once.
+    With one file, one usable core or no ``fork`` start method the files
+    load in this process, one after another.  An error raised while loading
+    names the first bad file in ``paths`` order either way.
+    """
+    workers = min(len(paths), _usable_cores())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            # fork, not spawn: a spawned worker would import numpy, scipy
+            # and gaitpass afresh, which takes longer than parsing a file
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            )
+            frames = []
+            try:
+                pending = [
+                    pool.submit(_file_fields, kind, path, sensors) for path in paths
+                ]
+                # in config order; each result is dropped once it is framed,
+                # so the parent never holds two copies of every matrix
+                pending.reverse()
+                while pending:
+                    frames.append(TimeSeriesFrame(*pending.pop().result()))
+            except BrokenProcessPool:
+                raise DataError(
+                    f"dataset.subjects: a process loading the {len(paths)} "
+                    f"{kind} files died before returning them"
+                ) from None
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+            return frames
+    return [_load_file(kind, path, sensors) for path in paths]
+
+
 def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[str]]:
     kind = config.get_str(
         "dataset.kind", choices=("synthetic", "marea", "hugadb")
@@ -130,24 +195,22 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
                 phases=phases,
             )
             frames[str(name)] = walk.frame
-    elif kind == "marea":
-        sensor_list = config.get_list("dataset.sensors", list(MAREA_SENSORS))
-        if not sensor_list or not all(s in MAREA_SENSORS for s in sensor_list):
-            raise ConfigError(
-                "dataset.sensors: expected a nonempty list of MAREA sensors "
-                f"{list(MAREA_SENSORS)}, got {sensor_list!r}"
-            )
-        for name, path in subjects_map.items():
-            if not isinstance(path, str):
-                raise ConfigError(f"dataset.subjects.{name}: expected a file path")
-            frames[str(name)] = load_marea(path, tuple(sensor_list))
-            inputs.append(path)
     else:
+        picked: tuple[str, ...] = ()
+        if kind == "marea":
+            sensor_list = config.get_list("dataset.sensors", list(MAREA_SENSORS))
+            if not sensor_list or not all(s in MAREA_SENSORS for s in sensor_list):
+                raise ConfigError(
+                    "dataset.sensors: expected a nonempty list of MAREA sensors "
+                    f"{list(MAREA_SENSORS)}, got {sensor_list!r}"
+                )
+            picked = tuple(sensor_list)
         for name, path in subjects_map.items():
             if not isinstance(path, str):
                 raise ConfigError(f"dataset.subjects.{name}: expected a file path")
-            frames[str(name)] = load_hugadb(path)
-            inputs.append(path)
+        inputs = list(subjects_map.values())
+        loaded = _load_files(kind, inputs, picked)
+        frames = dict(zip(map(str, subjects_map), loaded))
 
     window = config.get_int_pair("window", None)
     if window is not None:
@@ -463,6 +526,12 @@ def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     coding = load_coding(coding_path)
     frames, inputs = _load_frames(config)
     inputs = inputs + [model_path, coding_path]
+    for name, frame in frames.items():
+        if frame.n_samples < model.segment_length:
+            raise DataError(
+                f"subject {name!r} has {frame.n_samples} samples, shorter than "
+                f"one segment of {model.segment_length} in pssa.model {model_path}"
+            )
 
     seqs = {name: encode_ternary(f, coding) for name, f in frames.items()}
     sigma = build_proportion_matrix(seqs, model.pss, model.segment_length)

@@ -308,7 +308,11 @@ def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
         merges = _ward_rounds(observations)
         if merges is None:
             merges = hierarchy.linkage(observations, method="ward")
-        cut_order = _cut_order(merges)
+            cut_order = _cut_order(merges)
+        else:
+            # The rounds' heights strictly increase (a tie returns None),
+            # so a cut applies their merges in row order.
+            cut_order = np.arange(n - 1)
     return ColumnTree(
         matrix=matrix,
         merges=merges,
@@ -404,8 +408,10 @@ def assign_nearest(clustering: ColumnClustering, columns: np.ndarray) -> np.ndar
     # matrix-matrix kernel gives a column the same product whatever block
     # holds it, but a one-column product goes through its matrix-vector
     # kernel, which rounds differently: a lone last column joins the block
-    # before it.
+    # before it, and a lone column is labelled as one of a pair.
     m = columns.shape[1]
+    if m == 1:
+        return assign_nearest(clustering, np.repeat(columns, 2, axis=1))[:1]
     edges = list(range(0, m, _ASSIGN_BLOCK)) + [m]
     if len(edges) > 2 and m - edges[-2] == 1:
         del edges[-2]

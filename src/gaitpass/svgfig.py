@@ -40,13 +40,6 @@ def svg_document(width: float, height: float, body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def rect(x, y, w, h, fill: str) -> str:
-    return (
-        f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-        f'fill="{fill}"/>'
-    )
-
-
 def text(x, y, content: str, size: float = 11, anchor: str = "start") -> str:
     return (
         f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
@@ -61,15 +54,6 @@ def polyline(points: list[tuple[float, float]], stroke: str, width: float = 1.5)
         f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
         f'stroke-width="{_f(width)}"/>'
     )
-
-
-def _gradient_color(value: float) -> str:
-    """White to dark blue ramp for magnitudes in [0, 1]."""
-    value = min(max(value, 0.0), 1.0)
-    r = round(255 + (8 - 255) * value)
-    g = round(255 + (48 - 255) * value)
-    b = round(255 + (107 - 255) * value)
-    return f"#{r:02x}{g:02x}{b:02x}"
 
 
 def render_heatmap(
@@ -95,21 +79,23 @@ def render_heatmap(
     width = label_w + n_cols * cell_w + 10.0
     height = top + n_rows * cell_h + 10.0
 
+    # A white to dark blue ramp over the values in [0, 1], one 0xRRGGBB
+    # integer per cell; np.rint breaks ties to even, as round() does.
+    value = np.clip(matrix / vmax, 0.0, 1.0)
+    fills = np.zeros(matrix.shape, dtype=np.int64)
+    for end in (8, 48, 107):
+        fills = fills * 256 + np.rint(255 + (end - 255) * value).astype(np.int64)
+    # each column's x and each row's y are formatted once
+    size = f'width="{_f(cell_w)}" height="{_f(cell_h)}" fill="#'
+    heads = [f'<rect x="{_f(label_w + j * cell_w)}" y="' for j in range(n_cols)]
+
     body: list[str] = []
     if title:
         body.append(text(label_w, 18, title, size=13))
-    for i in range(n_rows):
+    for i, row in enumerate(fills.tolist()):
         y = top + i * cell_h
-        for j in range(n_cols):
-            body.append(
-                rect(
-                    label_w + j * cell_w,
-                    y,
-                    cell_w,
-                    cell_h,
-                    _gradient_color(matrix[i, j] / vmax),
-                )
-            )
+        tail = f'{_f(y)}" {size}'
+        body.extend(f'{head}{tail}{fill:06x}"/>' for head, fill in zip(heads, row))
         if row_labels:
             body.append(text(4, y + cell_h * 0.75, row_labels[i], size=9))
     return svg_document(width, height, body)

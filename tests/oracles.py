@@ -184,10 +184,15 @@ def assign_nearest_whole(clustering, columns) -> np.ndarray:
     """Nearest-centroid labels from one matrix product over all columns.
 
     ``hca.assign_nearest`` as it ran before it worked in column blocks.
+    One column is labelled as the first of two copies: numpy multiplies a
+    lone column with BLAS's matrix-vector kernel, which rounds otherwise
+    than the matrix-matrix kernel every wider product takes.
     """
     columns = np.asarray(columns, dtype=float)
     if columns.ndim == 1:
         columns = columns[:, None]
+    if columns.shape[1] == 1:
+        return assign_nearest_whole(clustering, np.repeat(columns, 2, axis=1))[:1]
     scale = clustering.row_std
     scaled = (columns - clustering.row_mean[:, None]) / scale[:, None]
     scaled_centroids = (
@@ -350,8 +355,8 @@ def segment_proportions_by_dict(states, pss, segment_length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# persisted rows, passtensor text and rendering, run statistics and the
-# synthetic walker: one Python step per cell, line, run or cycle, as the
+# persisted rows, passtensor text and rendering, the heatmap, run statistics
+# and the synthetic walker: one Python step per cell, line, run or cycle, as the
 # library ran them before it worked on whole arrays
 # ---------------------------------------------------------------------------
 
@@ -430,6 +435,44 @@ def render_unrolled_by_cell(pt, palette) -> str:
                 )
                 b = b_end
         y0 += section + gap
+    return svg_document(width, height, body)
+
+
+def _gradient_color(value: float) -> str:
+    """White to dark blue ramp for magnitudes in [0, 1]."""
+    value = min(max(value, 0.0), 1.0)
+    r = round(255 + (8 - 255) * value)
+    g = round(255 + (48 - 255) * value)
+    b = round(255 + (107 - 255) * value)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def render_heatmap_by_cell(
+    matrix, row_labels=None, cell_w=4.0, cell_h=10.0, title=""
+) -> str:
+    matrix = np.asarray(matrix, dtype=float)
+    n_rows, n_cols = matrix.shape
+    vmax = float(matrix.max())
+    if vmax <= 0:
+        vmax = 1.0
+    label_w = 110.0 if row_labels else 10.0
+    top = 30.0 if title else 10.0
+    width = label_w + n_cols * cell_w + 10.0
+    height = top + n_rows * cell_h + 10.0
+
+    body: list[str] = []
+    if title:
+        body.append(text(label_w, 18, title, size=13))
+    for i in range(n_rows):
+        y = top + i * cell_h
+        for j in range(n_cols):
+            body.append(
+                f'<rect x="{_f(label_w + j * cell_w)}" y="{_f(y)}" '
+                f'width="{_f(cell_w)}" height="{_f(cell_h)}" '
+                f'fill="{_gradient_color(matrix[i, j] / vmax)}"/>'
+            )
+        if row_labels:
+            body.append(text(4, y + cell_h * 0.75, row_labels[i], size=9))
     return svg_document(width, height, body)
 
 

@@ -1,4 +1,4 @@
-"""Whole-array passtensor, reader, run-statistics and walker paths.
+"""Whole-array passtensor, reader, heatmap, run-statistics and walker paths.
 
 Each path is checked against the per-cell, per-line, per-run or per-cycle
 loop it replaced (``oracles.py``): equal text, equal SVG, equal arrays
@@ -23,10 +23,11 @@ from gaitpass.passtensor import (
     passtensor_to_text,
     render_cylinder,
 )
-from gaitpass.svgfig import DEFAULT_PALETTE
+from gaitpass.svgfig import DEFAULT_PALETTE, render_heatmap
 from oracles import (
     passtensor_by_cycle,
     passtensor_to_text_by_cell,
+    render_heatmap_by_cell,
     render_unrolled_by_cell,
     rows_by_line,
     run_statistics_by_dict,
@@ -79,6 +80,38 @@ def test_passtensor_text_matches_cell_loop_and_reads_back(pt):
 def test_unrolled_svg_matches_cell_loop(pt):
     assert render_cylinder(pt, view="unrolled") == (
         render_unrolled_by_cell(pt, DEFAULT_PALETTE)
+    )
+
+
+# Scaled by a maximum of 1 or 2, these put some cells at exactly 0.5,
+# whose red and green fall halfway between two integers (131.5 and 151.5):
+# ties must go to even, as round() breaks them.
+HALVES = [0.5, 1.0, 2.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    matrix=st.integers(1, 6).flatmap(lambda rows: st.integers(1, 30).flatmap(
+        lambda cols: st.lists(
+            st.one_of(
+                st.sampled_from(HALVES),
+                st.floats(-1.0, 2.0, allow_nan=False),
+            ),
+            min_size=rows * cols, max_size=rows * cols,
+        ).map(lambda v: np.array(v).reshape(rows, cols))
+    )),
+    labelled=st.booleans(),
+    title=st.sampled_from(["", "occupancy"]),
+    cell_w=st.sampled_from([2.0, 700.0 / 2508, 8.0]),
+)
+@example(matrix=np.array([[0.5, 1.0], [0.0, -0.5]]), labelled=True, title="",
+         cell_w=2.0)
+def test_heatmap_matches_cell_loop(matrix, labelled, title, cell_w):
+    labels = [f"s#{i}" for i in range(matrix.shape[0])] if labelled else None
+    assert render_heatmap(
+        matrix, row_labels=labels, cell_w=cell_w, title=title
+    ) == render_heatmap_by_cell(
+        matrix, row_labels=labels, cell_w=cell_w, title=title
     )
 
 

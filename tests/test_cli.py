@@ -716,3 +716,23 @@ def test_render_codes_past_palette_exit_3(persisted_files, tmp_path, capsys):
     assert message.startswith(f"{bad}: code 35 ")
     for named in ("32 colours", "hca.h_feet", "hca.h_extra"):
         assert named in message
+
+
+def test_classify_recording_shorter_than_a_segment_exit_3(tmp_path, capsys):
+    model = tmp_path / "model"
+    assert main(["pssa-train", "-c", config_file(tmp_path, PAIR),
+                 "-o", str(model)]) == 0
+    text = PAIR + (f"  model: {model / 'model.txt'}\n"
+                   f"  coding: {model / 'coding.txt'}\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["pssa-classify", "-c", config_file(tmp_path, text, "cls.yaml"),
+                 "-o", str(out), "--set", "window=[0, 50]"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "data"
+    for named in ("'ann'", "50 samples", str(model / "model.txt"), "100"):
+        assert named in message["message"]
+    assert "pssa.model" in message["message"]
+    assert not out.exists()

@@ -495,6 +495,18 @@ def standardized_walker_columns(n, seed):
     return ((matrix - matrix.mean(axis=1)[:, None]) / matrix.std(axis=1)[:, None]).T
 
 
+def rounds_points(kind, n, seed):
+    """``n`` points for the rounds: continuous, walker, chain or tied."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.standard_normal((n, int(rng.integers(1, 5))))
+    if kind == "walker":
+        return standardized_walker_columns(n, seed % 8)
+    if kind == "chain":
+        return chain(n, rng.uniform(0.1, 10.0))
+    return rng.integers(0, 4, (n, 2)).astype(float)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["random", "walker", "chain", "tied"]),
@@ -508,15 +520,7 @@ def test_neighbour_count_changes_no_merge(kind, n, seed):
     fetched to the exhaustive search, so k moves only the work, never a
     merge, a height, or a tie decision.
     """
-    rng = np.random.default_rng(seed)
-    if kind == "random":
-        points = rng.standard_normal((n, int(rng.integers(1, 5))))
-    elif kind == "walker":
-        points = standardized_walker_columns(n, seed % 8)
-    elif kind == "chain":
-        points = chain(n, rng.uniform(0.1, 10.0))
-    else:
-        points = rng.integers(0, 4, (n, 2)).astype(float)
+    points = rounds_points(kind, n, seed)
     results = []
     with pytest.MonkeyPatch.context() as patch:
         for k in (2, 4, 16):
@@ -527,3 +531,49 @@ def test_neighbour_count_changes_no_merge(kind, n, seed):
         assert (other is None) == (first is None)
         if first is not None:
             assert np.array_equal(other, first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "walker", "chain", "tied"]),
+    n=st.integers(min_value=2, max_value=240),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rounds_cut_in_row_order(kind, n, seed):
+    """Where the rounds link a matrix, ``cut_tree`` applies its merges in
+    row order, which is the order ``link_columns`` stores for them."""
+    points = rounds_points(kind, n, seed)
+    merges = _ward_rounds(points)
+    if merges is not None:
+        assert np.array_equal(_cut_order(merges), np.arange(n - 1))
+        tree = link_columns(points.T, standardize=False)
+        assert np.array_equal(tree.merges, merges)
+        assert np.array_equal(tree.cut_order, np.arange(n - 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7919])
+def test_walker_rounds_cut_in_row_order(seed):
+    # the 50-cycle walker stacks the benchmark's code-book fits link
+    tree = link_columns(walker_stack(50, seed=seed))
+    merges = _ward_rounds(observations_of(tree))
+    assert merges is not None
+    assert np.array_equal(tree.merges, merges)
+    assert np.array_equal(_cut_order(merges), tree.cut_order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.integers(min_value=1, max_value=9),
+    d=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=2, max_value=40),
+    kind=st.sampled_from(["grid", "midpoints"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_column_alone_gets_its_label_in_a_batch(h, d, m, kind, seed):
+    """A one-column call labels its column as a wider call does: it takes
+    the matrix-matrix product, not the matrix-vector one."""
+    rng = np.random.default_rng(seed)
+    clustering, columns = code_book_and_columns(rng, h, d, m, kind)
+    whole = assign_nearest_whole(clustering, columns)
+    alone = [assign_nearest(clustering, columns[:, j : j + 1])[0] for j in range(m)]
+    assert alone == whole.tolist()

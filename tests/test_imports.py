@@ -1,6 +1,10 @@
-"""Every module-level import in the package source is used."""
+"""Every module-level import in the package source is used, and importing
+the CLI loads no process-pool machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "gaitpass"
@@ -26,3 +30,18 @@ def test_no_unused_module_imports():
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # the frame loader imports them only when it starts a pool
+    probe = (
+        "import sys, gaitpass.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
