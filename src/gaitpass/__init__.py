@@ -13,7 +13,6 @@ from .complexity import SymbolSequence, couple_naive, lz76_complexity
 from .errors import CodeBookMismatchError, ConfigError, DataError, GaitError
 from .hca import ColumnClustering, assign_nearest, cluster_columns
 from .ingest import (
-    SensorTriplet,
     SyntheticWalk,
     TimeSeriesFrame,
     load_hugadb,

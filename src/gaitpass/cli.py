@@ -58,6 +58,7 @@ from .landmark import (
     select_landmark,
 )
 from .passtensor import (
+    MIN_BINS,
     SKELETON_WEIGHT,
     build_passtensor,
     compare_passtensors,
@@ -100,10 +101,10 @@ def _load_file(kind: str, path: str, sensors: tuple[str, ...]) -> TimeSeriesFram
 
 
 def _file_fields(kind: str, path: str, sensors: tuple[str, ...]):
-    # What a worker sends back: the selected channel matrix and its labels.
+    # What a worker sends back: the selected sensors' rows and their names.
     # The parent builds the frame, so its values stay read-only.
     frame = _load_file(kind, path, sensors)
-    return frame.values, frame.channels, frame.sample_rate_hz
+    return frame.values, frame.sensors, frame.sample_rate_hz
 
 
 def _usable_cores() -> int:
@@ -157,13 +158,18 @@ def _load_files(
     return [_load_file(kind, path, sensors) for path in paths]
 
 
+def _subjects(config: RunConfig) -> dict:
+    subjects = config.get_map("dataset.subjects")
+    if not subjects:
+        raise ConfigError("dataset.subjects: need at least one subject")
+    return subjects
+
+
 def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[str]]:
     kind = config.get_str(
         "dataset.kind", choices=("synthetic", "marea", "hugadb")
     )
-    subjects_map = config.get_map("dataset.subjects")
-    if not subjects_map:
-        raise ConfigError("dataset.subjects: need at least one subject")
+    subjects_map = _subjects(config)
 
     frames: dict[str, TimeSeriesFrame] = {}
     inputs: list[str] = []
@@ -204,6 +210,9 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
                     "dataset.sensors: expected a nonempty list of MAREA sensors "
                     f"{list(MAREA_SENSORS)}, got {sensor_list!r}"
                 )
+            twice = [s for i, s in enumerate(sensor_list) if s in sensor_list[:i]]
+            if twice:
+                raise ConfigError(f"dataset.sensors: sensor {twice[0]!r} named twice")
             picked = tuple(sensor_list)
         for name, path in subjects_map.items():
             if not isinstance(path, str):
@@ -228,11 +237,10 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
 
 
 def _single_frame(config: RunConfig) -> tuple[str, TimeSeriesFrame, list[str]]:
+    count = len(_subjects(config))
+    if count != 1:
+        raise ConfigError(f"this command needs exactly one subject, got {count}")
     frames, inputs = _load_frames(config)
-    if len(frames) != 1:
-        raise ConfigError(
-            f"this command needs exactly one subject, got {len(frames)}"
-        )
     name, frame = next(iter(frames.items()))
     return name, frame, inputs
 
@@ -258,13 +266,10 @@ def _json_report(payload: dict) -> str:
 def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Complexity table and chart comparing coding schemes on one sensor."""
     name, frame, inputs = _single_frame(config)
-    sensor = config.get_str("complexity.sensor", frame.sensor_names()[0])
-    try:
-        triplet = frame.sensor(sensor)
-    except KeyError:
-        raise ConfigError(
-            f"complexity.sensor: {sensor!r} not in {frame.sensor_names()}"
-        ) from None
+    sensor = config.get_str("complexity.sensor", frame.sensors[0])
+    if sensor not in frame.sensors:
+        raise ConfigError(f"complexity.sensor: {sensor!r} not in {frame.sensors}")
+    triplet = frame.sensor(sensor)
     alpha, beta = _get_alpha_beta(config)
     sweep = config.get_list("complexity.h_sweep", list(range(2, 28)))
     if not sweep or not all(
@@ -275,8 +280,8 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         )
     standardize = config.get_bool("hca.standardize", True)
 
-    coding = fit_ternary([triplet.frame], alpha, beta)
-    states = encode_ternary(triplet.frame, coding).states
+    coding = fit_ternary([triplet], alpha, beta)
+    states = encode_ternary(triplet, coding).states
     axis_seqs = [
         SymbolSequence(symbols=states[:, d].astype(np.int64) - 1, alphabet_size=3)
         for d in range(3)
@@ -329,47 +334,49 @@ def _check_h(key: str, h: int, n_columns: int, max_fit: int) -> None:
 
 
 def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
-    sensors = frame.sensor_names()
+    sensors = frame.sensors
     left = config.get_str("cycles.left", sensors[0])
     if len(sensors) > 1:
         right = config.get_str("cycles.right", sensors[1])
     else:
         right = config.get_str("cycles.right")
-    extra = config.get_list("cycles.extra", [])
+    extra = [str(s) for s in config.get_list("cycles.extra", [])]
     h_feet = config.get_int("hca.h_feet", 10, lo=1)
     h_extra = config.get_int("hca.h_extra", 8, lo=1)
     standardize = config.get_bool("hca.standardize", True)
     max_fit = config.get_int("hca.max_fit_columns", 20000, lo=8, hi=MAX_FIT_COLUMNS)
 
-    try:
-        left_t = frame.sensor(left)
-        right_t = frame.sensor(right)
-        extra_t = [frame.sensor(str(s)) for s in extra]
-    except KeyError as exc:
-        raise ConfigError(
-            f"cycles: sensor {exc.args[0]!r} not in {sensors}"
-        ) from None
+    # each sensor once: a foot named twice would stack with itself, and two
+    # rings of one name would keep one landmark code in the report
+    named: dict[str, str] = {}
+    selected = [("cycles.left", left), ("cycles.right", right)]
+    for key, sensor in selected + [("cycles.extra", s) for s in extra]:
+        if sensor not in sensors:
+            raise ConfigError(f"{key}: sensor {sensor!r} not in {sensors}")
+        if sensor in named:
+            raise ConfigError(
+                f"{key}: sensor {sensor!r} is already named by {named[sensor]}"
+            )
+        named[sensor] = key
+    one = {sensor: frame.sensor(sensor) for sensor in named}
 
-    # (code book name, columns fitted, H key, H, triplets it encodes)
+    # (code book name, columns fitted, H key, H, sensors it encodes)
     subsystems = [
-        ("feet", stack_lr(left_t, right_t), "hca.h_feet", h_feet, [left_t, right_t])
-    ] + [
-        (trip.name, trip.values, "hca.h_extra", h_extra, [trip])
-        for trip in extra_t
-    ]
+        ("feet", stack_lr(one[left], one[right]), "hca.h_feet", h_feet, (left, right))
+    ] + [(s, one[s].values, "hca.h_extra", h_extra, (s,)) for s in extra]
     for _, matrix, key, h, _ in subsystems:
         _check_h(key, h, matrix.shape[1], max_fit)
     codes, seqs, labels = {}, [], []
-    for name, matrix, _, h, triplets in subsystems:
+    for name, matrix, _, h, encoded in subsystems:
         codes[name] = fit_local_code(
             matrix,
             h,
-            source_sensors=tuple(trip.name for trip in triplets),
+            source_sensors=encoded,
             standardize=standardize,
             max_fit_columns=max_fit,
         )
-        seqs.extend(encode_subsystem(codes[name], trip) for trip in triplets)
-        labels.extend(trip.name for trip in triplets)
+        seqs.extend(encode_subsystem(codes[name], one[s]) for s in encoded)
+        labels.extend(encoded)
 
     coupled = couple(seqs, labels)
     stats = run_statistics(coupled)
@@ -424,10 +431,19 @@ def cmd_cycles(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 
 def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Build and persist the phase-normalized cycle tensor."""
+    bins = config.get_int("passtensor.bins", 128, lo=MIN_BINS)
+    cycle_range = config.get_int_pair("passtensor.cycle_range", None)
+    if cycle_range is not None and not 1 <= cycle_range[0] <= cycle_range[1]:
+        raise ConfigError(
+            f"passtensor.cycle_range: {cycle_range} needs 1 <= first <= last"
+        )
     name, frame, inputs = _single_frame(config)
     coupled, partition, codes, labels = _cycles_pipeline(config, frame)
-    bins = config.get_int("passtensor.bins", 128, lo=8)
-    cycle_range = config.get_int_pair("passtensor.cycle_range", None)
+    if cycle_range is not None and cycle_range[1] > partition.n_cycles:
+        raise ConfigError(
+            f"passtensor.cycle_range: last cycle {cycle_range[1]} is past the "
+            f"{partition.n_cycles} cycles found"
+        )
     combined_id = hashlib.sha256(
         "|".join(code.code_book_id for code in codes.values()).encode()
     ).hexdigest()[:16]
@@ -452,8 +468,7 @@ def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 
 def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Fit ternary coding, select principle states, train key-state rules."""
-    frames, inputs = _load_frames(config)
-    if len(frames) < 2:
+    if len(_subjects(config)) < 2:
         raise ConfigError("pssa-train needs at least two subjects")
     alpha, beta = _get_alpha_beta(config)
     n_states = config.get_int("pssa.n_states", None, lo=1)
@@ -463,6 +478,7 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     if (n_states is None) == (coverage is None):
         raise ConfigError("give exactly one of pssa.n_states or pssa.coverage")
     segment_length = config.get_int("pssa.segment_length", 1000, lo=1)
+    frames, inputs = _load_frames(config)
     for name, frame in frames.items():  # two rows to train on, one to test
         if frame.n_samples // segment_length < 3:
             raise ConfigError(

@@ -3,8 +3,8 @@
 Two dataset text layouts are supported (per-subject plain-text exports with
 one sample per row), plus a synthetic walker generator whose ground-truth
 cycle boundaries are returned alongside the signal.  All loaders produce a
-:class:`TimeSeriesFrame`: a dense D x T matrix of axis readings with one
-``(sensor, axis)`` label per row.
+:class:`TimeSeriesFrame`: a dense 3S x T matrix holding the X, Y and Z rows
+of each of S named sensors.
 
 A dataset table follows one grammar (``docs/file-formats.md``, "Input
 tables") and is read by one ``np.loadtxt`` call; a table it rejects is
@@ -38,64 +38,52 @@ HUGADB_SAMPLE_RATE_HZ = 60.0
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesFrame:
-    """A D x T acceleration matrix with per-row ``(sensor, axis)`` labels."""
+    """A 3S x T matrix: rows 3i, 3i + 1, 3i + 2 hold X, Y, Z of ``sensors[i]``."""
 
     values: np.ndarray
-    channels: tuple[tuple[str, str], ...]
+    sensors: tuple[str, ...]
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError("values must be a D x T matrix with D >= 1, T >= 1")
+        sensors = tuple(str(s) for s in self.sensors)
+        if not sensors or values.ndim != 2 or values.shape[1] < 1:
+            raise ValueError("a frame needs at least one sensor and one sample")
+        if values.shape[0] != 3 * len(sensors):
+            raise ValueError(f"{values.shape[0]} rows for {len(sensors)} X/Y/Z sensors")
+        if len(set(sensors)) != len(sensors):
+            raise ValueError(f"sensor named twice in {sensors}")
         if not np.all(np.isfinite(values)):
             raise ValueError("values contain NaN or Inf")
-        channels = tuple((str(s), str(a)) for s, a in self.channels)
-        if len(channels) != values.shape[0]:
-            raise ValueError(
-                f"{len(channels)} channel labels for {values.shape[0]} rows"
-            )
-        if len(set(channels)) != len(channels):
-            raise ValueError("duplicate (sensor, axis) channel label")
-        for sensor, axis in channels:
-            if axis not in AXES:
-                raise ValueError(f"unknown axis {axis!r} for sensor {sensor!r}")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "sensors", sensors)
 
     @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
+    def channels(self) -> tuple[tuple[str, str], ...]:
+        """The ``(sensor, axis)`` label of each row."""
+        return tuple((sensor, axis) for sensor in self.sensors for axis in AXES)
 
     @property
     def n_samples(self) -> int:
         return self.values.shape[1]
 
-    def sensor_names(self) -> tuple[str, ...]:
-        """Distinct sensor names, in first-appearance order."""
-        seen: list[str] = []
-        for sensor, _ in self.channels:
-            if sensor not in seen:
-                seen.append(sensor)
-        return tuple(seen)
+    def sensor(self, name: str) -> "TimeSeriesFrame":
+        """One sensor's X, Y and Z rows as a one-sensor frame.
 
-    def sensor(self, name: str) -> "SensorTriplet":
-        """Extract one sensor's X, Y, Z rows as a triplet view."""
-        rows = {axis: i for i, (s, axis) in enumerate(self.channels) if s == name}
-        if not rows:
+        A row gather, not a slice: the copy is C-ordered whatever this
+        frame's layout, so code-book statistics over it round alike.
+        """
+        if name not in self.sensors:
             raise KeyError(f"frame has no sensor {name!r}")
-        missing = [a for a in AXES if a not in rows]
-        if missing:
-            raise ValueError(f"sensor {name!r} lacks axes {missing}")
-        sub = TimeSeriesFrame(
-            values=self.values[[rows[a] for a in AXES], :],
-            channels=tuple((name, a) for a in AXES),
+        i = self.sensors.index(name)
+        return TimeSeriesFrame(
+            values=self.values[3 * i + np.arange(3)],
+            sensors=(name,),
             sample_rate_hz=self.sample_rate_hz,
         )
-        return SensorTriplet(sub)
 
     def window(self, start: int, stop: int) -> "TimeSeriesFrame":
         """Slice samples ``[start, stop)`` into a new frame."""
@@ -105,39 +93,9 @@ class TimeSeriesFrame:
             )
         return TimeSeriesFrame(
             values=self.values[:, start:stop],
-            channels=self.channels,
+            sensors=self.sensors,
             sample_rate_hz=self.sample_rate_hz,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class SensorTriplet:
-    """One sensor's three axis rows, normalized to X, Y, Z order."""
-
-    frame: TimeSeriesFrame
-
-    def __post_init__(self) -> None:
-        if self.frame.n_channels != 3:
-            raise ValueError("a sensor triplet needs exactly three channels")
-        sensors = {s for s, _ in self.frame.channels}
-        if len(sensors) != 1:
-            raise ValueError(f"triplet mixes sensors {sorted(sensors)}")
-        axes = tuple(a for _, a in self.frame.channels)
-        if axes != AXES:
-            raise ValueError(f"triplet axes are {axes}, expected {AXES}")
-
-    @property
-    def values(self) -> np.ndarray:
-        """3 x T matrix, rows in X, Y, Z order."""
-        return self.frame.values
-
-    @property
-    def name(self) -> str:
-        return self.frame.channels[0][0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.frame.n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +370,11 @@ def load_marea(
     The file is a 12-column table (LF, RF, Waist, Wrist; X, Y, Z each, at
     128 Hz) or any superset/reordering described by a one-line header of
     ``<Sensor>_<Axis>`` names.  ``sensors`` selects which triplets to keep
-    and fixes the row order of the result.
+    and fixes the row order of the result; a sensor named twice is kept
+    once, where it is first named.
     """
     path = Path(path)
-    sensors = tuple(sensors)
+    sensors = tuple(dict.fromkeys(sensors))
     unknown = [s for s in sensors if s not in MAREA_SENSORS]
     if unknown:
         raise DataError(
@@ -432,7 +391,7 @@ def load_marea(
     wanted = {f"{s}_{axis}": (s, axis) for s in sensors for axis in AXES}
     return TimeSeriesFrame(
         values=_channel_values(path, header, data, wanted, _split_channel_token),
-        channels=tuple(wanted.values()),
+        sensors=sensors,
         sample_rate_hz=MAREA_SAMPLE_RATE_HZ,
     )
 
@@ -456,7 +415,7 @@ def load_hugadb(path: str | Path) -> TimeSeriesFrame:
     }
     return TimeSeriesFrame(
         values=_channel_values(path, header, data, wanted, _hugadb_channel),
-        channels=tuple(wanted.values()),
+        sensors=HUGADB_SENSORS,
         sample_rate_hz=HUGADB_SAMPLE_RATE_HZ,
     )
 
@@ -589,12 +548,9 @@ def synthesize_walker(
 
     ends = np.cumsum(lengths)
     boundaries = np.concatenate(([0], ends, [ends[-1] + marker_len]))
-    channels = tuple(
-        (f"S{s}", axis) for s in range(sensors) for axis in AXES
-    )
     frame = TimeSeriesFrame(
         values=values,
-        channels=channels,
+        sensors=tuple(f"S{s}" for s in range(sensors)),
         sample_rate_hz=128.0,
     )
     return SyntheticWalk(

@@ -1,6 +1,6 @@
 """Local-first, global-second coding of multi-sensor recordings.
 
-Left- and right-foot triplets are stacked side by side into one 3 x 2T
+Left- and right-foot sensors are stacked side by side into one 3 x 2T
 matrix whose columns are clustered into H local codes; each foot's signal
 then becomes a 1-D code sequence under that shared code book, and code
 sequences from several subsystems are coupled position-wise into tuple
@@ -18,7 +18,7 @@ import numpy as np
 
 from .complexity import SymbolSequence
 from .hca import ColumnClustering, assign_nearest, cluster_columns
-from .ingest import LineReader, SensorTriplet
+from .ingest import LineReader, TimeSeriesFrame
 
 
 def _fmt(values) -> str:
@@ -71,11 +71,13 @@ class LocalCode:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def stack_lr(left: SensorTriplet, right: SensorTriplet) -> np.ndarray:
-    """Concatenate two triplets into a 3 x 2T matrix, left block first.
+def stack_lr(left: TimeSeriesFrame, right: TimeSeriesFrame) -> np.ndarray:
+    """Concatenate two one-sensor frames into a 3 x 2T matrix, left block first.
 
-    Axis rows align X/Y/Z by triplet construction; lengths must match.
+    Axis rows align X/Y/Z by frame construction; lengths must match.
     """
+    if len(left.sensors) != 1 or len(right.sensors) != 1:
+        raise ValueError(f"need one-sensor frames, got {left.sensors}, {right.sensors}")
     if left.n_samples != right.n_samples:
         raise ValueError(
             f"length mismatch: left {left.n_samples}, right {right.n_samples}"
@@ -123,9 +125,9 @@ def fit_local_code(
     )
 
 
-def encode_subsystem(code: LocalCode, triplet: SensorTriplet) -> SymbolSequence:
-    """Code every column of a triplet by its nearest code-book centroid."""
-    labels = assign_nearest(code.clustering, triplet.values)
+def encode_subsystem(code: LocalCode, frame: TimeSeriesFrame) -> SymbolSequence:
+    """Code every column of a frame by its nearest code-book centroid."""
+    labels = assign_nearest(code.clustering, frame.values)
     return SymbolSequence(symbols=labels, alphabet_size=code.h)
 
 

@@ -14,12 +14,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import LineReader, SensorTriplet, TimeSeriesFrame, parse_file
+from .ingest import LineReader, TimeSeriesFrame, parse_file
 
 
-def resultant_acceleration(triplet: SensorTriplet) -> np.ndarray:
-    """Per-sample Euclidean magnitude sqrt(X^2 + Y^2 + Z^2)."""
-    return np.sqrt(np.sum(np.square(triplet.values), axis=0))
+def resultant_acceleration(frame: TimeSeriesFrame) -> np.ndarray:
+    """Per-sample Euclidean magnitude sqrt(X^2 + Y^2 + Z^2) of one sensor."""
+    if len(frame.sensors) != 1:
+        raise ValueError(f"need a one-sensor frame, got {frame.sensors}")
+    return np.sqrt(np.sum(np.square(frame.values), axis=0))
 
 
 @dataclass(frozen=True, eq=False)

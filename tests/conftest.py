@@ -35,12 +35,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def _run_pipeline(walk):
     frame = walk.frame
-    left = frame.sensor(frame.sensor_names()[0])
-    right = frame.sensor(frame.sensor_names()[1])
+    left = frame.sensor(frame.sensors[0])
+    right = frame.sensor(frame.sensors[1])
     code = fit_local_code(stack_lr(left, right), h=10)
     coupled = couple(
         [encode_subsystem(code, left), encode_subsystem(code, right)],
-        labels=[left.name, right.name],
+        labels=[*left.sensors, *right.sensors],
     )
     stats = run_statistics(coupled)
     landmark = select_landmark(stats)

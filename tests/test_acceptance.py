@@ -106,8 +106,8 @@ def test_criterion_2_cluster_coding_compresses(criterion_log):
 
     frame = load_marea(path, sensors=("LF",)).window(0, 300)
     triplet = frame.sensor("LF")
-    coding = fit_ternary([triplet.frame], 0.3, 0.7)
-    states = encode_ternary(triplet.frame, coding).states
+    coding = fit_ternary([triplet], 0.3, 0.7)
+    states = encode_ternary(triplet, coding).states
     axis_seqs = [
         SymbolSequence(symbols=states[:, d].astype(np.int64) - 1, alphabet_size=3)
         for d in range(3)

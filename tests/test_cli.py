@@ -331,7 +331,8 @@ CONFIG_MISTAKES = {
     "misspelt_section_key": (["cycles.min_run=3"], "cycles.min_run"),
     "h_feet_above_window": (["hca.h_feet=5000"], "hca.h_feet: 5000"),
     "h_extra_above_window": (
-        ["cycles.extra=[S0]", "hca.h_extra=645"], "hca.h_extra: 645"
+        ["dataset.sensors=3", "cycles.extra=[S2]", "hca.h_extra=645"],
+        "hca.h_extra: 645",
     ),
     "h_feet_above_subsample": (
         ["hca.max_fit_columns=100", "hca.h_feet=101"], "the 100 columns"
@@ -458,6 +459,84 @@ def test_loose_value_exit_2(command, text, assignment, named, tmp_path, capsys):
     message = json.loads(err[0])
     assert message["error"] == "config"
     assert message["message"].startswith(named + ":")
+    assert not out.exists()
+
+
+# Selections refused before any fit or file read: a sensor named twice (an
+# extra sensor naming a foot once dropped that foot's code from the
+# report, and a foot named twice was stacked with itself; a MAREA sensor
+# listed twice was folded into one), a cycle range no walk holds (exit 4
+# once, as if the algorithm failed), and a subject count the command cannot
+# use (the first missing file exited 3).  The range past the walk's 10
+# cycles is refused once they are found, still before any output.
+TWO_MAREA = MAREA + "    walkerB: other.txt\n"
+COVERAGE = "pssa:\n  coverage: 0.95\n"
+REFUSED_BEFORE_FIT = {
+    "extra_names_left": (
+        "cycles", WALK, ["cycles.extra=[S0]"],
+        "cycles.extra: sensor 'S0' is already named by cycles.left",
+    ),
+    "right_names_left": (
+        "passtensor-build", WALK, ["cycles.right=S0"],
+        "cycles.right: sensor 'S0' is already named by cycles.left",
+    ),
+    "extra_twice": (
+        "cycles", WALK, ["dataset.sensors=3", "cycles.extra=[S2, S2]"],
+        "cycles.extra: sensor 'S2' is already named by cycles.extra",
+    ),
+    "marea_sensor_twice": (
+        "cycles", MAREA, ["dataset.sensors=[LF, RF, LF]"],
+        "dataset.sensors: sensor 'LF' named twice",
+    ),
+    "cycle_range_reversed": (
+        "passtensor-build", WALK, ["passtensor.cycle_range=[5, 2]"],
+        "passtensor.cycle_range: [5, 2] needs 1 <= first <= last",
+    ),
+    "cycle_range_from_zero": (
+        "passtensor-build", WALK, ["passtensor.cycle_range=[0, 3]"],
+        "passtensor.cycle_range: [0, 3] needs 1 <= first <= last",
+    ),
+    "cycle_range_past_cycles": (
+        "passtensor-build", WALK, ["passtensor.cycle_range=[1, 999]"],
+        "passtensor.cycle_range: last cycle 999 is past the 10 cycles found",
+    ),
+    "cycles_two_subjects": (
+        "cycles", TWO_MAREA, [], "this command needs exactly one subject, got 2",
+    ),
+    "train_one_subject": (
+        "pssa-train", MAREA + COVERAGE, [], "pssa-train needs at least two subjects",
+    ),
+    "train_alpha": (
+        "pssa-train", TWO_MAREA + COVERAGE, ["coding.alpha=0.6"], "coding.alpha: 0.6",
+    ),
+    "train_coverage": (
+        "pssa-train", TWO_MAREA, ["pssa.coverage=0"], "pssa.coverage: 0",
+    ),
+    "train_no_state_count": (
+        "pssa-train", TWO_MAREA, [], "give exactly one of pssa.n_states",
+    ),
+    "train_segment_length": (
+        "pssa-train", TWO_MAREA + COVERAGE, ["pssa.segment_length=0"],
+        "pssa.segment_length: 0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, text, overrides, named", REFUSED_BEFORE_FIT.values(),
+    ids=list(REFUSED_BEFORE_FIT),
+)
+def test_refused_before_fit_exit_2(command, text, overrides, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "-c", config_file(tmp_path, text), "-o", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "config"
+    assert message["message"].startswith(named)
     assert not out.exists()
 
 

@@ -293,3 +293,48 @@ def tied_cycles_run(tmp_path_factory):
 def test_tied_input_artifact_bytes_match_recorded_digest(artifact, tied_cycles_run):
     data = (tied_cycles_run / artifact).read_bytes()
     assert hashlib.sha256(data).hexdigest() == TIED_GOLDEN[artifact]
+
+
+# The 50-cycle, period-128 walker of seed 1, built in full (12.8k columns
+# fitted).  Its values come out of the walker F-ordered, where a 10-cycle
+# walker's are C-ordered, so these digests move if a sensor's rows reach the
+# code-book fit in the frame's own layout: the last bits of the feet
+# stack's row means, and with them every code, would change.
+F_ORDERED_CFG = """\
+dataset:
+  kind: synthetic
+  cycles: 50
+  period_mean: 128.0
+  period_jitter: 2.0
+  sensors: 2
+  noise: 0.03
+  subjects:
+    walker: {seed: 1}
+"""
+F_ORDERED_GOLDEN = {
+    "passtensor.txt":
+        "be40bc6de5121293f7d4807e81d6d43cd87457cabb795fccfb01ff7d4236ef7c",
+    "codebook_feet.txt":
+        "32565d962c4b269227dcde8f757c2c585c5316cf0653b260ff741709021773eb",
+}
+
+
+@pytest.fixture(scope="module")
+def f_ordered_run(tmp_path_factory):
+    walk = synthesize_walker(
+        seed=1, cycles=50, period_mean=128.0, period_jitter=2.0, sensors=2,
+        noise=0.03,
+    )
+    assert walk.frame.values.flags.f_contiguous
+    assert not walk.frame.values.flags.c_contiguous
+    root = tmp_path_factory.mktemp("f_ordered")
+    cfg = root / "walk.yaml"
+    cfg.write_text(F_ORDERED_CFG)
+    assert main(["passtensor-build", "-c", str(cfg), "-o", str(root / "out")]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize("artifact", F_ORDERED_GOLDEN)
+def test_f_ordered_walker_bytes_match_recorded_digest(artifact, f_ordered_run):
+    data = (f_ordered_run / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == F_ORDERED_GOLDEN[artifact]

@@ -22,22 +22,28 @@ from gaitpass.ingest import (
 from oracles import parse_table_by_line
 
 
-def make_frame(rows=3, samples=8, sensors=("A",)):
-    channels = tuple((s, a) for s in sensors for a in AXES)[:rows]
-    values = np.arange(rows * samples, dtype=float).reshape(rows, samples)
+def make_frame(samples=8, sensors=("A",)):
+    values = np.arange(3 * len(sensors) * samples, dtype=float)
     return TimeSeriesFrame(
-        values=values,
-        channels=channels,
+        values=values.reshape(3 * len(sensors), samples),
+        sensors=sensors,
         sample_rate_hz=100.0,
     )
 
 
 class TestTimeSeriesFrame:
     def test_basic_shape_and_labels(self):
-        frame = make_frame(rows=6, sensors=("A", "B"))
-        assert frame.n_channels == 6
+        frame = make_frame(sensors=("A", "B"))
+        assert frame.values.shape == (6, 8)
         assert frame.n_samples == 8
-        assert frame.sensor_names() == ("A", "B")
+        assert frame.sensors == ("A", "B")
+
+    def test_channels_follow_sensors_then_axes(self):
+        frame = make_frame(sensors=("B", "A"))
+        assert frame.channels == (
+            ("B", "X"), ("B", "Y"), ("B", "Z"),
+            ("A", "X"), ("A", "Y"), ("A", "Z"),
+        )
 
     def test_values_are_readonly(self):
         frame = make_frame()
@@ -45,26 +51,39 @@ class TestTimeSeriesFrame:
             frame.values[0, 0] = 99.0
 
     def test_label_count_mismatch(self):
-        with pytest.raises(ValueError, match="channel labels"):
+        with pytest.raises(ValueError, match="2 rows for 1 X/Y/Z sensors"):
             TimeSeriesFrame(
                 values=np.zeros((2, 4)),
-                channels=(("A", "X"),),
+                sensors=("A",),
                 sample_rate_hz=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "rows, sensors",
+        [(4, ("A",)), (3, ("A", "B")), (9, ("A", "B")), (6, ("A",))],
+    )
+    def test_rows_three_per_sensor(self, rows, sensors):
+        with pytest.raises(ValueError, match=f"{rows} rows for {len(sensors)} "):
+            TimeSeriesFrame(np.zeros((rows, 4)), sensors, 1.0)
+
+    @pytest.mark.parametrize(
+        "values, sensors",
+        [
+            (np.zeros((3, 0)), ("A",)),
+            (np.zeros((0, 4)), ()),
+            (np.zeros(3), ("A",)),
+        ],
+    )
+    def test_needs_a_sensor_and_a_sample(self, values, sensors):
+        with pytest.raises(ValueError, match="at least one sensor and one sample"):
+            TimeSeriesFrame(values, sensors, 1.0)
 
     def test_duplicate_channel(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        # a sensor named twice would label two row triplets alike
+        with pytest.raises(ValueError, match="sensor named twice"):
             TimeSeriesFrame(
-                values=np.zeros((2, 4)),
-                channels=(("A", "X"), ("A", "X")),
-                sample_rate_hz=1.0,
-            )
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError, match="axis"):
-            TimeSeriesFrame(
-                values=np.zeros((1, 4)),
-                channels=(("A", "W"),),
+                values=np.zeros((6, 4)),
+                sensors=("A", "A"),
                 sample_rate_hz=1.0,
             )
 
@@ -72,44 +91,24 @@ class TestTimeSeriesFrame:
         values = np.zeros((3, 4))
         values[1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            TimeSeriesFrame(
-                values=values,
-                channels=tuple(("A", a) for a in AXES),
-                sample_rate_hz=1.0,
-            )
+            TimeSeriesFrame(values=values, sensors=("A",), sample_rate_hz=1.0)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):
-            make_frame().__class__(
-                values=np.zeros((3, 4)),
-                channels=tuple(("A", a) for a in AXES),
-                sample_rate_hz=0.0,
-            )
+            TimeSeriesFrame(np.zeros((3, 4)), ("A",), sample_rate_hz=0.0)
 
-    def test_sensor_reorders_axes(self):
-        # rows deliberately scrambled: Z, X, Y
-        values = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        frame = TimeSeriesFrame(
-            values=values,
-            channels=(("A", "Z"), ("A", "X"), ("A", "Y")),
-            sample_rate_hz=1.0,
-        )
-        triplet = frame.sensor("A")
-        assert triplet.name == "A"
-        assert np.array_equal(triplet.values[:, 0], [2.0, 3.0, 1.0])
+    def test_sensor_gathers_its_rows(self):
+        frame = make_frame(sensors=("A", "B", "C"))
+        one = frame.sensor("B")
+        assert one.sensors == ("B",)
+        assert one.sample_rate_hz == frame.sample_rate_hz
+        assert np.array_equal(one.values, frame.values[3:6])
+        assert one.values.flags.c_contiguous
+        assert not one.values.flags.writeable
 
     def test_sensor_missing(self):
         with pytest.raises(KeyError):
             make_frame().sensor("nope")
-
-    def test_sensor_incomplete_axes(self):
-        frame = TimeSeriesFrame(
-            values=np.zeros((2, 4)),
-            channels=(("A", "X"), ("A", "Y")),
-            sample_rate_hz=1.0,
-        )
-        with pytest.raises(ValueError, match="lacks axes"):
-            frame.sensor("A")
 
     def test_window(self):
         frame = make_frame(samples=10)
@@ -147,7 +146,7 @@ class TestLoadMarea:
         frame = load_marea(path, sensors=("RF", "LF"))
         assert frame.sample_rate_hz == MAREA_SAMPLE_RATE_HZ
         # requested order wins over file order
-        assert frame.sensor_names() == ("RF", "LF")
+        assert frame.sensors == ("RF", "LF")
         assert np.array_equal(frame.sensor("RF").values, data[:, 3:6].T)
         assert np.array_equal(frame.sensor("LF").values, data[:, 0:3].T)
 
@@ -202,6 +201,14 @@ class TestLoadMarea:
         path.write_text(text)
         with pytest.raises(DataError, match="unknown MAREA sensors"):
             load_marea(path, sensors=("Ankle",))
+
+    def test_sensor_named_twice_loads_once(self, tmp_path):
+        text, data = _table_text(5, 12)
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        frame = load_marea(path, sensors=("RF", "LF", "RF"))
+        assert frame.sensors == ("RF", "LF")
+        assert np.array_equal(frame.values, data[:, [3, 4, 5, 0, 1, 2]].T)
 
     def test_header_missing_axis(self, tmp_path):
         header = ["LF_X", "LF_Y"]  # no LF_Z
@@ -351,9 +358,9 @@ class TestLoadHugadb:
         path = tmp_path / "h.txt"
         path.write_text(text)
         frame = load_hugadb(path)
-        assert frame.n_channels == 18
+        assert frame.values.shape == (18, 12)
         assert frame.sample_rate_hz == 60.0
-        assert frame.sensor_names() == ("rf", "rs", "rt", "lf", "ls", "lt")
+        assert frame.sensors == ("rf", "rs", "rt", "lf", "ls", "lt")
         assert np.array_equal(frame.sensor("lf").values, data[:, 11:14].T)
 
     def test_headerless_rejected(self, tmp_path):
@@ -376,7 +383,8 @@ class TestSynthesizeWalker:
     def test_shapes_and_ground_truth(self):
         walk = synthesize_walker(seed=3, cycles=12, period_mean=64.0,
                                  period_jitter=1.0, sensors=3)
-        assert walk.frame.n_channels == 9
+        assert walk.frame.sensors == ("S0", "S1", "S2")
+        assert walk.frame.values.shape[0] == 9
         assert walk.n_cycles == 12
         assert len(walk.boundaries) == 14
         assert len(walk.marker_onsets) == 13

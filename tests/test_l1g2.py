@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gaitpass.complexity import SymbolSequence
 from gaitpass.errors import DataError
 from gaitpass.hca import assign_nearest
-from gaitpass.ingest import AXES, TimeSeriesFrame
+from gaitpass.ingest import TimeSeriesFrame
 from gaitpass.l1g2 import (
     CoupledStateSequence,
     couple,
@@ -21,13 +21,8 @@ from gaitpass.l1g2 import (
 
 
 def triplet_of(values, name="L"):
-    values = np.asarray(values, dtype=float)
-    frame = TimeSeriesFrame(
-        values=values,
-        channels=tuple((name, a) for a in AXES),
-        sample_rate_hz=50.0,
-    )
-    return frame.sensor(name)
+    """A one-sensor frame."""
+    return TimeSeriesFrame(values=values, sensors=(name,), sample_rate_hz=50.0)
 
 
 def random_triplet(rng, n, name="L", shift=0.0):
@@ -48,6 +43,44 @@ class TestStackLr:
         rng = np.random.default_rng(51)
         with pytest.raises(ValueError, match="length mismatch"):
             stack_lr(random_triplet(rng, 5), random_triplet(rng, 6, "R"))
+
+    def test_refuses_two_sensor_frames(self):
+        rng = np.random.default_rng(54)
+        pair = TimeSeriesFrame(rng.standard_normal((6, 5)), ("L", "R"), 50.0)
+        one = random_triplet(rng, 5, "W")
+        for left, right in ((pair, one), (one, pair)):
+            with pytest.raises(ValueError, match="one-sensor frames"):
+                stack_lr(left, right)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        samples=st.integers(min_value=3, max_value=60),
+        sensors=st.integers(min_value=2, max_value=4),
+        h=st.integers(min_value=2, max_value=6),
+        data=st.data(),
+    )
+    def test_frame_layout_never_moves_the_code_book(
+        self, seed, samples, sensors, h, data
+    ):
+        # a frame's values keep the layout they came in (the 50-cycle
+        # walker's are F-ordered); the one-sensor frames of its sensors
+        # are C-ordered copies, so the fit over them rounds alike
+        names = tuple(f"S{i}" for i in range(sensors))
+        left, right = data.draw(st.permutations(names))[:2]
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((3 * sensors, samples)) * 3.0 + 1.0
+        ids = set()
+        for order in ("C", "F"):
+            frame = TimeSeriesFrame(np.array(values, order=order), names, 50.0)
+            assert frame.values.flags[f"{order}_CONTIGUOUS"]
+            feet = frame.sensor(left), frame.sensor(right)
+            for name, one in zip((left, right), feet):
+                i = names.index(name)
+                assert one.values.flags.c_contiguous
+                assert np.array_equal(one.values, values[3 * i : 3 * i + 3])
+            ids.add(fit_local_code(stack_lr(*feet), h=h).code_book_id)
+        assert len(ids) == 1
 
 
 class TestFitLocalCode:

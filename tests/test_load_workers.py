@@ -125,7 +125,7 @@ def test_pooled_load_equals_in_process_load(
         assert a.values.dtype == b.values.dtype
         assert a.values.tobytes() == b.values.tobytes()
         assert a.values.shape == b.values.shape
-        assert a.channels == b.channels
+        assert a.sensors == b.sensors
         assert a.sample_rate_hz == b.sample_rate_hz
         assert a.values.flags.writeable is False
         assert b.values.flags.writeable is False
@@ -193,7 +193,8 @@ def test_first_bad_file_in_config_order_is_named(tmp_path, cores, capfd):
 
 def test_entries_checked_before_any_file_is_read(tmp_path, cores, capfd):
     text = ("dataset:\n  kind: marea\n  subjects:\n"
-            f"    ann: {tmp_path / 'missing.txt'}\n    bob: 5\n")
+            f"    ann: {tmp_path / 'missing.txt'}\n    bob: 5\n"
+            "pssa:\n  coverage: 0.95\n")
     cores(2)
     assert main(["pssa-train", "-c", write_config(tmp_path, text),
                  "-o", str(tmp_path / "out")]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitpass.errors import DataError
-from gaitpass.ingest import AXES, TimeSeriesFrame
+from gaitpass.ingest import TimeSeriesFrame
 from gaitpass.symbolic import (
     StateVectorSequence,
     TernaryCoding,
@@ -22,17 +22,19 @@ from oracles import quantile_type7_literal
 def frame_of(values, sensors=None):
     values = np.asarray(values, dtype=float)
     if sensors is None:
-        sensors = [f"S{i}" for i in range(values.shape[0] // 3 + 1)]
-    channels = tuple(
-        (s, a) for s in sensors for a in AXES
-    )[: values.shape[0]]
-    return TimeSeriesFrame(values=values, channels=channels, sample_rate_hz=10.0)
+        sensors = [f"S{i}" for i in range(values.shape[0] // 3)]
+    return TimeSeriesFrame(values=values, sensors=sensors, sample_rate_hz=10.0)
 
 
 def test_resultant_magnitude():
     frame = frame_of([[3.0, 0.0], [4.0, 0.0], [0.0, 2.0]])
     res = resultant_acceleration(frame.sensor("S0"))
     assert np.allclose(res, [5.0, 2.0])
+
+
+def test_resultant_refuses_two_sensor_frame():
+    with pytest.raises(ValueError, match="one-sensor frame"):
+        resultant_acceleration(frame_of(np.ones((6, 4))))
 
 
 def test_fit_matches_literal_quantiles():
