@@ -21,6 +21,7 @@ import os
 import platform
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -35,12 +36,14 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, DataError, GaitError
-from .hca import MAX_FIT_COLUMNS, cut_columns, link_columns
+from .hca import cut_columns, link_columns
 from .ingest import (
+    HUGADB_SENSORS,
     MAREA_SENSORS,
     TimeSeriesFrame,
     load_hugadb,
     load_marea,
+    marker_length,
     synthesize_walker,
 )
 from .l1g2 import (
@@ -58,7 +61,6 @@ from .landmark import (
     select_landmark,
 )
 from .passtensor import (
-    MIN_BINS,
     SKELETON_WEIGHT,
     build_passtensor,
     compare_passtensors,
@@ -158,29 +160,41 @@ def _load_files(
     return [_load_file(kind, path, sensors) for path in paths]
 
 
-def _subjects(config: RunConfig) -> dict:
-    subjects = config.get_map("dataset.subjects")
+class Dataset(NamedTuple):
+    """What ``_load_frames`` loads: each subject's file path or walker
+    arguments, and the sensors every frame holds, in row order."""
+
+    kind: str
+    subjects: dict
+    sensors: tuple[str, ...]
+    window: list[int] | None
+
+
+def _dataset(config: RunConfig, one: bool = False) -> Dataset:
+    """Check every dataset setting; nothing is read or synthesized yet."""
+    kind = config["dataset.kind"]
+    subjects = config["dataset.subjects"]
     if not subjects:
         raise ConfigError("dataset.subjects: need at least one subject")
-    return subjects
-
-
-def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[str]]:
-    kind = config.get_str(
-        "dataset.kind", choices=("synthetic", "marea", "hugadb")
-    )
-    subjects_map = _subjects(config)
-
-    frames: dict[str, TimeSeriesFrame] = {}
-    inputs: list[str] = []
+    if one and len(subjects) != 1:
+        raise ConfigError(
+            f"this command needs exactly one subject, got {len(subjects)}"
+        )
+    sensors = config["dataset.sensors"]
     if kind == "synthetic":
-        cycles = config.get_int("dataset.cycles", 60, lo=1)
-        period = config.get_float("dataset.period_mean", 128.0, lo=8.0)
-        jitter = config.get_float("dataset.period_jitter", 2.0, lo=0.0)
-        sensors = config.get_int("dataset.sensors", 2, lo=1)
-        noise = config.get_float("dataset.noise", 0.03, lo=0.0)
-        phases = config.get_int("dataset.phases", 6, lo=2)
-        for name, entry in subjects_map.items():
+        count = checked_int("dataset.sensors", 2 if sensors is None else sensors, lo=1)
+        period, jitter = config["dataset.period_mean"], config["dataset.period_jitter"]
+        phases = config["dataset.phases"]
+        try:
+            marker_length(period, jitter, phases)
+        except ValueError as exc:  # the message opens with the parameter
+            raise ConfigError(f"dataset.{exc}") from None
+        walker = dict(
+            cycles=config["dataset.cycles"], period_mean=period, period_jitter=jitter,
+            sensors=count, noise=config["dataset.noise"], phases=phases,
+        )
+        sources = {}
+        for name, entry in subjects.items():
             key = f"dataset.subjects.{name}"
             if not isinstance(entry, dict) or "seed" not in entry:
                 raise ConfigError(f"{key}: need a mapping with a seed")
@@ -190,69 +204,58 @@ def _load_frames(config: RunConfig) -> tuple[dict[str, TimeSeriesFrame], list[st
                     f"{key}.{unknown[0]}: unknown key; a subject holds seed "
                     "and offset"
                 )
-            walk = synthesize_walker(
+            sources[str(name)] = dict(
+                walker,
                 seed=checked_int(f"{key}.seed", entry["seed"], lo=0),
-                cycles=cycles,
-                period_mean=period,
-                period_jitter=jitter,
-                sensors=sensors,
-                noise=noise,
                 offset=checked_float(f"{key}.offset", entry.get("offset", 0.0)),
-                phases=phases,
             )
-            frames[str(name)] = walk.frame
+        names = tuple(f"S{s}" for s in range(count))
     else:
-        picked: tuple[str, ...] = ()
-        if kind == "marea":
-            sensor_list = config.get_list("dataset.sensors", list(MAREA_SENSORS))
-            if not sensor_list or not all(s in MAREA_SENSORS for s in sensor_list):
+        if kind == "hugadb":
+            if sensors is not None:
+                raise ConfigError("dataset.sensors: HuGaDB files always load all six")
+            names = HUGADB_SENSORS
+        else:
+            names = list(MAREA_SENSORS) if sensors is None else sensors
+            if (not isinstance(names, list) or not names
+                    or not all(s in MAREA_SENSORS for s in names)):
                 raise ConfigError(
                     "dataset.sensors: expected a nonempty list of MAREA sensors "
-                    f"{list(MAREA_SENSORS)}, got {sensor_list!r}"
+                    f"{list(MAREA_SENSORS)}, got {names!r}"
                 )
-            twice = [s for i, s in enumerate(sensor_list) if s in sensor_list[:i]]
+            twice = [s for i, s in enumerate(names) if s in names[:i]]
             if twice:
                 raise ConfigError(f"dataset.sensors: sensor {twice[0]!r} named twice")
-            picked = tuple(sensor_list)
-        for name, path in subjects_map.items():
+            names = tuple(names)
+        for name, path in subjects.items():
             if not isinstance(path, str):
                 raise ConfigError(f"dataset.subjects.{name}: expected a file path")
-        inputs = list(subjects_map.values())
-        loaded = _load_files(kind, inputs, picked)
-        frames = dict(zip(map(str, subjects_map), loaded))
+        sources = {str(name): path for name, path in subjects.items()}
+    window = config["window"]
+    if window is not None and not window[0] < window[1]:
+        raise ConfigError(f"window: [{window[0]}, {window[1]}) holds no sample")
+    return Dataset(kind, sources, names, window)
 
-    window = config.get_int_pair("window", None)
-    if window is not None:
-        start, stop = window
+
+def _load_frames(dataset: Dataset) -> tuple[dict[str, TimeSeriesFrame], list[str]]:
+    """Every subject's frame, cut to the window, and the files read."""
+    if dataset.kind == "synthetic":
+        inputs = []
+        loaded = [synthesize_walker(**kw).frame for kw in dataset.subjects.values()]
+    else:
+        inputs = list(dataset.subjects.values())
+        loaded = _load_files(dataset.kind, inputs, dataset.sensors)
+    frames = dict(zip(dataset.subjects, loaded))
+    if dataset.window is not None:
+        start, stop = dataset.window
         for name, frame in frames.items():
-            if not 0 <= start < stop <= frame.n_samples:
+            if stop > frame.n_samples:
                 raise ConfigError(
                     f"window: [{start}, {stop}) outside the "
                     f"{frame.n_samples} samples of subject {name!r}"
                 )
-        frames = {
-            name: frame.window(start, stop) for name, frame in frames.items()
-        }
+        frames = {name: frame.window(start, stop) for name, frame in frames.items()}
     return frames, inputs
-
-
-def _single_frame(config: RunConfig) -> tuple[str, TimeSeriesFrame, list[str]]:
-    count = len(_subjects(config))
-    if count != 1:
-        raise ConfigError(f"this command needs exactly one subject, got {count}")
-    frames, inputs = _load_frames(config)
-    name, frame = next(iter(frames.items()))
-    return name, frame, inputs
-
-
-def _get_alpha_beta(config: RunConfig) -> tuple[float, float]:
-    alpha = config.get_float("coding.alpha", 0.3)
-    beta = config.get_float("coding.beta", 0.7)
-    if not 0.0 < alpha < 0.5:
-        raise ConfigError(f"coding.alpha: {alpha} must lie in (0, 0.5)")
-    if not 0.5 < beta < 1.0:
-        raise ConfigError(f"coding.beta: {beta} must lie in (0.5, 1)")
-    return alpha, beta
 
 
 def _json_report(payload: dict) -> str:
@@ -265,20 +268,23 @@ def _json_report(payload: dict) -> str:
 
 def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Complexity table and chart comparing coding schemes on one sensor."""
-    name, frame, inputs = _single_frame(config)
-    sensor = config.get_str("complexity.sensor", frame.sensors[0])
-    if sensor not in frame.sensors:
-        raise ConfigError(f"complexity.sensor: {sensor!r} not in {frame.sensors}")
+    dataset = _dataset(config, one=True)
+    sensor = config["complexity.sensor"]
+    if sensor is None:
+        sensor = dataset.sensors[0]
+    if sensor not in dataset.sensors:
+        raise ConfigError(f"complexity.sensor: {sensor!r} not in {dataset.sensors}")
+    alpha, beta = config["coding.alpha"], config["coding.beta"]
+    sweep = config["complexity.h_sweep"]
+
+    frames, inputs = _load_frames(dataset)
+    (name, frame), = frames.items()
     triplet = frame.sensor(sensor)
-    alpha, beta = _get_alpha_beta(config)
-    sweep = config.get_list("complexity.h_sweep", list(range(2, 28)))
-    if not sweep or not all(
-        type(h) is int and 1 <= h <= triplet.n_samples for h in sweep
-    ):
+    if max(sweep) > triplet.n_samples:
         raise ConfigError(
-            "complexity.h_sweep: expected integers within the window length"
+            f"complexity.h_sweep: {max(sweep)} clusters exceed the "
+            f"{triplet.n_samples} samples of the window"
         )
-    standardize = config.get_bool("hca.standardize", True)
 
     coding = fit_ternary([triplet], alpha, beta)
     states = encode_ternary(triplet, coding).states
@@ -301,7 +307,7 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     naive_lz = lz76_complexity(naive)
     rows.append(("ternary-coupled", naive.alphabet_size, naive_lz))
 
-    tree = link_columns(triplet.values, standardize=standardize)
+    tree = link_columns(triplet.values)
     cluster_lz: list[int] = []
     for h in sweep:
         _, labels = cut_columns(tree, h)
@@ -325,26 +331,26 @@ def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     return {"complexity_table.tsv": tsv, "complexity_chart.svg": chart}, inputs
 
 
-def _check_h(key: str, h: int, n_columns: int, max_fit: int) -> None:
-    fitted = math.ceil(n_columns / fit_stride(n_columns, max_fit))
-    if h > fitted:
-        raise ConfigError(
-            f"{key}: {h} clusters exceed the {fitted} columns the code book fits"
-        )
+def _cycles_pipeline(config: RunConfig):
+    """Fit the one subject's code books, couple its sensors, cut its cycles.
 
-
-def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
-    sensors = frame.sensors
-    left = config.get_str("cycles.left", sensors[0])
-    if len(sensors) > 1:
-        right = config.get_str("cycles.right", sensors[1])
-    else:
-        right = config.get_str("cycles.right")
-    extra = [str(s) for s in config.get_list("cycles.extra", [])]
-    h_feet = config.get_int("hca.h_feet", 10, lo=1)
-    h_extra = config.get_int("hca.h_extra", 8, lo=1)
-    standardize = config.get_bool("hca.standardize", True)
-    max_fit = config.get_int("hca.max_fit_columns", 20000, lo=8, hi=MAX_FIT_COLUMNS)
+    Every setting is checked before the frame is loaded.  Returns the files
+    read, the coupled sequence, the partition, the report and the artifacts
+    (cycle table and code books) that every caller writes.
+    """
+    dataset = _dataset(config, one=True)
+    sensors = dataset.sensors
+    left, right = config["cycles.left"], config["cycles.right"]
+    if left is None:
+        left = sensors[0]
+    if right is None:
+        if len(sensors) < 2:
+            raise ConfigError("cycles.right: unset, and the frames hold one sensor")
+        right = sensors[1]
+    extra = config["cycles.extra"]
+    h_feet, h_extra = config["hca.h_feet"], config["hca.h_extra"]
+    max_fit = config["hca.max_fit_columns"]
+    min_runs = config["cycles.min_runs"]
 
     # each sensor once: a foot named twice would stack with itself, and two
     # rings of one name would keep one landmark code in the report
@@ -358,31 +364,36 @@ def _cycles_pipeline(config: RunConfig, frame: TimeSeriesFrame):
                 f"{key}: sensor {sensor!r} is already named by {named[sensor]}"
             )
         named[sensor] = key
-    one = {sensor: frame.sensor(sensor) for sensor in named}
 
+    frames, inputs = _load_frames(dataset)
+    (name, frame), = frames.items()
+    one = {sensor: frame.sensor(sensor) for sensor in named}
     # (code book name, columns fitted, H key, H, sensors it encodes)
     subsystems = [
         ("feet", stack_lr(one[left], one[right]), "hca.h_feet", h_feet, (left, right))
     ] + [(s, one[s].values, "hca.h_extra", h_extra, (s,)) for s in extra]
     for _, matrix, key, h, _ in subsystems:
-        _check_h(key, h, matrix.shape[1], max_fit)
+        fitted = math.ceil(matrix.shape[1] / fit_stride(matrix.shape[1], max_fit))
+        if h > fitted:
+            raise ConfigError(
+                f"{key}: {h} clusters exceed the {fitted} columns the code book fits"
+            )
     codes, seqs, labels = {}, [], []
-    for name, matrix, _, h, encoded in subsystems:
-        codes[name] = fit_local_code(
-            matrix,
-            h,
-            source_sensors=encoded,
-            standardize=standardize,
-            max_fit_columns=max_fit,
+    for book, matrix, _, h, encoded in subsystems:
+        codes[book] = fit_local_code(
+            matrix, h, source_sensors=encoded, max_fit_columns=max_fit
         )
-        seqs.extend(encode_subsystem(codes[name], one[s]) for s in encoded)
+        seqs.extend(encode_subsystem(codes[book], one[s]) for s in encoded)
         labels.extend(encoded)
 
     coupled = couple(seqs, labels)
     stats = run_statistics(coupled)
-    lm = select_landmark(stats, min_runs=config.get_int("cycles.min_runs", 5, lo=1))
-    partition = partition_cycles(stats, lm)
-    return coupled, partition, codes, labels
+    partition = partition_cycles(stats, select_landmark(stats, min_runs=min_runs))
+    report = _partition_report(name, frame, partition, labels, codes)
+    artifacts = {"cycles.tsv": cycles_to_tsv(partition)}
+    for book, code in codes.items():
+        artifacts[f"codebook_{book}.txt"] = local_code_to_text(code)
+    return inputs, coupled, partition, report, artifacts
 
 
 def _partition_report(
@@ -408,44 +419,29 @@ def _partition_report(
     }
 
 
-def _codebook_artifacts(codes: dict) -> dict[str, str]:
-    return {
-        f"codebook_{key}.txt": local_code_to_text(code)
-        for key, code in codes.items()
-    }
-
-
 def cmd_cycles(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Landmark selection and rhythmic-cycle table for one recording."""
-    name, frame, inputs = _single_frame(config)
-    _, partition, codes, labels = _cycles_pipeline(config, frame)
-    artifacts = {
-        "cycles.tsv": cycles_to_tsv(partition),
-        "report.json": _json_report(
-            _partition_report(name, frame, partition, labels, codes)
-        ),
-    }
-    artifacts.update(_codebook_artifacts(codes))
+    inputs, _, _, report, artifacts = _cycles_pipeline(config)
+    artifacts["report.json"] = _json_report(report)
     return artifacts, inputs
 
 
 def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Build and persist the phase-normalized cycle tensor."""
-    bins = config.get_int("passtensor.bins", 128, lo=MIN_BINS)
-    cycle_range = config.get_int_pair("passtensor.cycle_range", None)
+    bins = config["passtensor.bins"]
+    cycle_range = config["passtensor.cycle_range"]
     if cycle_range is not None and not 1 <= cycle_range[0] <= cycle_range[1]:
         raise ConfigError(
             f"passtensor.cycle_range: {cycle_range} needs 1 <= first <= last"
         )
-    name, frame, inputs = _single_frame(config)
-    coupled, partition, codes, labels = _cycles_pipeline(config, frame)
+    inputs, coupled, partition, report, artifacts = _cycles_pipeline(config)
     if cycle_range is not None and cycle_range[1] > partition.n_cycles:
         raise ConfigError(
             f"passtensor.cycle_range: last cycle {cycle_range[1]} is past the "
             f"{partition.n_cycles} cycles found"
         )
     combined_id = hashlib.sha256(
-        "|".join(code.code_book_id for code in codes.values()).encode()
+        "|".join(report["code_book_ids"].values()).encode()
     ).hexdigest()[:16]
     pt = build_passtensor(
         coupled,
@@ -454,31 +450,24 @@ def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         cycle_range=cycle_range,
         code_book_id=combined_id,
     )
-    report = _partition_report(name, frame, partition, labels, codes)
     report["tensor_shape"] = [pt.n_cycles, pt.n_rings, pt.n_bins]
     report["code_book_id"] = combined_id
-    artifacts = {
-        "passtensor.txt": passtensor_to_text(pt),
-        "cycles.tsv": cycles_to_tsv(partition),
-        "report.json": _json_report(report),
-    }
-    artifacts.update(_codebook_artifacts(codes))
+    artifacts["passtensor.txt"] = passtensor_to_text(pt)
+    artifacts["report.json"] = _json_report(report)
     return artifacts, inputs
 
 
 def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Fit ternary coding, select principle states, train key-state rules."""
-    if len(_subjects(config)) < 2:
+    dataset = _dataset(config)
+    if len(dataset.subjects) < 2:
         raise ConfigError("pssa-train needs at least two subjects")
-    alpha, beta = _get_alpha_beta(config)
-    n_states = config.get_int("pssa.n_states", None, lo=1)
-    coverage = config.get_float("pssa.coverage", None)
-    if coverage is not None and not 0.0 < coverage <= 1.0:
-        raise ConfigError(f"pssa.coverage: {coverage} must lie in (0, 1]")
+    alpha, beta = config["coding.alpha"], config["coding.beta"]
+    n_states, coverage = config["pssa.n_states"], config["pssa.coverage"]
     if (n_states is None) == (coverage is None):
         raise ConfigError("give exactly one of pssa.n_states or pssa.coverage")
-    segment_length = config.get_int("pssa.segment_length", 1000, lo=1)
-    frames, inputs = _load_frames(config)
+    segment_length = config["pssa.segment_length"]
+    frames, inputs = _load_frames(dataset)
     for name, frame in frames.items():  # two rows to train on, one to test
         if frame.n_samples // segment_length < 3:
             raise ConfigError(
@@ -536,11 +525,11 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 
 def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Attribute segments of new recordings under a trained model."""
-    model_path = config.get_str("pssa.model")
-    coding_path = config.get_str("pssa.coding")
+    dataset = _dataset(config)
+    model_path, coding_path = config["pssa.model"], config["pssa.coding"]
     model = load_model(model_path)
     coding = load_coding(coding_path)
-    frames, inputs = _load_frames(config)
+    frames, inputs = _load_frames(dataset)
     inputs = inputs + [model_path, coding_path]
     for name, frame in frames.items():
         if frame.n_samples < model.segment_length:
@@ -575,11 +564,7 @@ def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
 
 def cmd_passtensor_compare(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Skeleton/stochastic comparison of two persisted passtensors."""
-    paths = config.get_list("passtensor.compare")
-    if len(paths) != 2 or not all(isinstance(p, str) for p in paths):
-        raise ConfigError(
-            f"passtensor.compare: expected [path_a, path_b], got {paths!r}"
-        )
+    paths = config["passtensor.compare"]
     a = load_passtensor(paths[0])
     b = load_passtensor(paths[1])
     diff = compare_passtensors(a, b)
@@ -610,12 +595,9 @@ def cmd_passtensor_compare(config: RunConfig) -> tuple[dict[str, str], list[str]
 
 def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     """Ring and cylinder views of a persisted passtensor."""
-    path = config.get_str("render.passtensor")
+    path, view = config["render.passtensor"], config["render.view"]
+    ring_cycle = config["render.ring_cycle"]
     pt = load_passtensor(path)
-    view = config.get_str(
-        "render.view", "unrolled", choices=("unrolled", "isometric", "both")
-    )
-    ring_cycle = config.get_int("render.ring_cycle", None, lo=0)
     if ring_cycle is None:
         grid = skeleton(pt)
     elif ring_cycle < pt.n_cycles:
@@ -718,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.overrides)
         outdir = Path(
-            args.out if args.out else config.get_str("output_dir", "out")
+            args.out if args.out else config["output_dir"]
         )
         artifacts, inputs = COMMANDS[args.command](config)
         try:

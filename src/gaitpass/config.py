@@ -1,133 +1,140 @@
 """Run configuration: YAML file plus command-line overrides.
 
-A config is a nested mapping validated lazily through typed getters, so
-error messages always carry the dotted key path.  The resolved mapping
-(minus the output directory) is embedded verbatim in every run manifest.
+``KEYS`` maps every dotted key to its type, default and bounds.  A config
+is checked against it when it loads, every key it holds, read by a command
+or not; commands then read ``config["hca.h_feet"]``.  The mapping (minus
+the output directory) is embedded verbatim in every run manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
+from .hca import MAX_FIT_COLUMNS
+from .passtensor import MIN_BINS
 
-# The keys each section may hold; None marks a section that is a value
-# itself.  ``dataset.subjects`` is free-form below its own level.
-KNOWN_KEYS = {
-    "dataset": (
-        "kind", "subjects", "cycles", "period_mean", "period_jitter",
-        "sensors", "noise", "phases",
-    ),
-    "window": None,
-    "coding": ("alpha", "beta"),
-    "pssa": (
-        "n_states", "coverage", "segment_length", "model", "coding",
-    ),
-    "hca": ("h_feet", "h_extra", "standardize", "max_fit_columns"),
-    "complexity": ("sensor", "h_sweep"),
-    "cycles": ("left", "right", "extra", "min_runs"),
-    "passtensor": ("bins", "cycle_range", "compare"),
-    "render": ("passtensor", "view", "ring_cycle"),
-    "output_dir": None,
+REQUIRED = object()  # the default of a key a command cannot run without
+
+
+@dataclass(frozen=True)
+class Key:
+    """A key's type, default and bounds: ``lo``/``hi`` inclusive, ``above``/
+    ``below`` open.  A list holds ``length`` (fewest, most) ``item`` values,
+    each within the bounds."""
+
+    type: type | tuple
+    default: object = None
+    lo: float | None = None
+    hi: float | None = None
+    above: float | None = None
+    below: float | None = None
+    choices: tuple = ()
+    item: type | None = None
+    length: tuple = (0, math.inf)
+
+
+KEYS = {
+    "dataset.kind": Key(str, REQUIRED, choices=("synthetic", "marea", "hugadb")),
+    "dataset.subjects": Key(dict, REQUIRED),
+    "dataset.cycles": Key(int, 60, lo=1),
+    "dataset.period_mean": Key(float, 128.0, lo=8.0),
+    "dataset.period_jitter": Key(float, 2.0, lo=0.0),
+    "dataset.sensors": Key((int, list)),
+    "dataset.noise": Key(float, 0.03, lo=0.0),
+    "dataset.phases": Key(int, 6, lo=2),
+    "window": Key(list, item=int, length=(2, 2), lo=0),
+    "coding.alpha": Key(float, 0.3, above=0.0, below=0.5),
+    "coding.beta": Key(float, 0.7, above=0.5, below=1.0),
+    "pssa.n_states": Key(int, lo=1),
+    "pssa.coverage": Key(float, above=0.0, hi=1.0),
+    "pssa.segment_length": Key(int, 1000, lo=1),
+    "pssa.model": Key(str, REQUIRED),
+    "pssa.coding": Key(str, REQUIRED),
+    "hca.h_feet": Key(int, 10, lo=1),
+    "hca.h_extra": Key(int, 8, lo=1),
+    "hca.max_fit_columns": Key(int, 20000, lo=8, hi=MAX_FIT_COLUMNS),
+    "complexity.sensor": Key(str),  # the first sensor when unset
+    "complexity.h_sweep": Key(list, tuple(range(2, 28)), lo=1, item=int,
+                              length=(1, math.inf)),
+    "cycles.left": Key(str),  # the first sensor when unset
+    "cycles.right": Key(str),  # the second sensor when unset
+    "cycles.extra": Key(list, (), item=str),
+    "cycles.min_runs": Key(int, 5, lo=1),
+    "passtensor.bins": Key(int, 128, lo=MIN_BINS),
+    "passtensor.cycle_range": Key(list, item=int, length=(2, 2)),
+    "passtensor.compare": Key(list, REQUIRED, item=str, length=(2, 2)),
+    "render.passtensor": Key(str, REQUIRED),
+    "render.view": Key(str, "unrolled", choices=("unrolled", "isometric", "both")),
+    "render.ring_cycle": Key(int, lo=0),
+    "output_dir": Key(str, "out"),
 }
 
-_MISSING = object()
+_NOUNS = {str: "a string", list: "a list", dict: "a mapping",
+          (int, list): "a count or a list"}
 
 
 class RunConfig:
-    """Nested mapping with dotted-path typed access."""
+    """A config mapping, checked against ``KEYS`` when it is made."""
 
     def __init__(self, data: dict, source: Path | None = None):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        unknown = sorted(set(data) - set(KNOWN_KEYS), key=str)
+        sections = list(dict.fromkeys(path.split(".")[0] for path in KEYS))
+        unknown = sorted(set(data) - set(sections), key=str)
         if unknown:
-            raise ConfigError(
-                f"unknown config keys {unknown}; known: {list(KNOWN_KEYS)}"
-            )
-        for section, keys in KNOWN_KEYS.items():
-            body = data.get(section)
-            if keys is None or body is None:
-                continue
-            if not isinstance(body, dict):
+            raise ConfigError(f"unknown config keys {unknown}; known: {sections}")
+        self._values = {}
+        for section, body in data.items():
+            if section in KEYS:  # a section that is a value itself
+                entries = {section: body}
+            elif isinstance(body, (dict, type(None))):
+                entries = {f"{section}.{k}": v for k, v in (body or {}).items()}
+            else:
                 raise ConfigError(f"{section}: expected a mapping, got {body!r}")
-            for key in body:
-                if key not in keys:
-                    raise ConfigError(
-                        f"unknown config key {section}.{key}; "
-                        f"{section} holds {list(keys)}"
-                    )
+            for path, value in entries.items():
+                if path not in KEYS:
+                    known = [p for p in KEYS if p.startswith(section + ".")]
+                    raise ConfigError(f"unknown config key {path}; known: {known}")
+                if value is not None:
+                    self._values[path] = _checked(path, KEYS[path], value)
         self.data = data
         self.source = source
 
-    def _lookup(self, path: str):
-        node = self.data
-        for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
-                return _MISSING
-            node = node[part]
-        return node
-
-    def _require(self, path: str, default):
-        value = self._lookup(path)
-        if value is _MISSING or value is None:
-            if default is _MISSING:
-                raise ConfigError(f"{path}: required key is missing")
-            return default
-        return value
-
-    def get_str(self, path: str, default=_MISSING, choices=None) -> str:
-        value = self._require(path, default)
-        if value is None:
-            return value
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{path}: {value!r} not one of {list(choices)}")
-        return value
-
-    def get_bool(self, path: str, default=_MISSING) -> bool:
-        value = self._require(path, default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
-        return value
-
-    def get_int(self, path: str, default=_MISSING, lo=None, hi=None) -> int:
-        value = self._require(path, default)
-        return value if value is None else checked_int(path, value, lo, hi)
-
-    def get_float(self, path: str, default=_MISSING, lo=None) -> float:
-        value = self._require(path, default)
-        return value if value is None else checked_float(path, value, lo)
-
-    def get_list(self, path: str, default=_MISSING) -> list:
-        value = self._require(path, default)
-        if value is not None and not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
-        return value
-
-    def get_int_pair(self, path: str, default=_MISSING) -> list[int]:
-        """A two-integer list such as ``[start, stop]``; booleans are refused."""
-        value = self.get_list(path, default)
-        if value is not None and (
-            len(value) != 2 or not all(type(v) is int for v in value)
-        ):
-            raise ConfigError(f"{path}: expected two integers, got {value!r}")
-        return value
-
-    def get_map(self, path: str) -> dict:
-        value = self._require(path, _MISSING)
-        if value is not None and not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected a mapping, got {value!r}")
+    def __getitem__(self, path: str):
+        """The checked value of ``path``, or its default when it is unset."""
+        value = self._values.get(path, KEYS[path].default)
+        if value is REQUIRED:
+            raise ConfigError(f"{path}: required key is missing")
         return value
 
     def manifest_parameters(self) -> dict:
         """Resolved config without the output directory."""
         return {k: v for k, v in self.data.items() if k != "output_dir"}
+
+
+def _checked(path: str, key: Key, value, kind=None):
+    kind = kind or key.type
+    if kind is int:
+        return checked_int(path, value, key.lo, key.hi)
+    if kind is float:
+        return checked_float(path, value, key.lo, key.hi, key.above, key.below)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: expected {_NOUNS[kind]}, got {value!r}")
+    if kind is list:
+        fewest, most = key.length
+        if not fewest <= len(value) <= most:
+            count = fewest if fewest == most else f"at least {fewest}"
+            raise ConfigError(f"{path}: expected {count} values, got {value!r}")
+        return [_checked(path, key, item, key.item) for item in value]
+    if key.choices and value not in key.choices:
+        raise ConfigError(f"{path}: {value!r} not one of {list(key.choices)}")
+    return value
 
 
 def checked_int(path: str, value, lo=None, hi=None) -> int:
@@ -137,9 +144,10 @@ def checked_int(path: str, value, lo=None, hi=None) -> int:
     return _in_range(path, value, lo, hi)
 
 
-def checked_float(path: str, value, lo=None) -> float:
-    """``value`` as a float if it is a finite number of at least ``lo``.
+def checked_float(path: str, value, lo=None, hi=None, above=None, below=None) -> float:
+    """``value`` as a float if it is a finite number within the bounds.
 
+    ``lo`` and ``hi`` are inclusive, ``above`` and ``below`` exclusive.
     Booleans, NaN and infinities are refused.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -150,7 +158,12 @@ def checked_float(path: str, value, lo=None) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return _in_range(path, number, lo, None)
+    _in_range(path, number, lo, hi)
+    if above is not None and not number > above:
+        raise ConfigError(f"{path}: {number} must be above {above}")
+    if below is not None and not number < below:
+        raise ConfigError(f"{path}: {number} must be below {below}")
+    return number
 
 
 def _in_range(path: str, value, lo, hi):

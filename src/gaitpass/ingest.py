@@ -468,6 +468,22 @@ def _phase_levels(n_sensors: int, n_phases: int) -> np.ndarray:
     return levels
 
 
+def marker_length(period_mean: float, period_jitter: float, phases: int) -> int:
+    """Samples in a walk's marker burst.  A ``ValueError`` opening with the
+    parameter at fault refuses a jitter outside ``[0, period_mean / 4)`` and
+    a shortest cycle without room for the marker and one sample per phase."""
+    if not 0 <= period_jitter < period_mean / 4:
+        raise ValueError(f"period_jitter: {period_jitter} not in [0, period_mean / 4)")
+    base = int(round(period_mean))
+    marker_len = max(3, base // 16)
+    if base - int(np.rint(period_jitter)) < marker_len + phases:
+        raise ValueError(
+            f"period_mean: {period_mean} with period_jitter {period_jitter} "
+            f"too short for {phases} phases plus a {marker_len}-sample marker"
+        )
+    return marker_len
+
+
 def synthesize_walker(
     seed: int,
     cycles: int,
@@ -491,24 +507,12 @@ def synthesize_walker(
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    if not period_mean > 0:
-        raise ValueError("period_mean must be positive")
-    if period_jitter < 0 or period_jitter >= period_mean / 4:
-        raise ValueError("period_jitter must be in [0, period_mean / 4)")
     if sensors < 1:
         raise ValueError("sensors must be >= 1")
     if phases < 2:
         raise ValueError("phases must be >= 2")
-
+    marker_len = marker_length(period_mean, period_jitter, phases)
     base = int(round(period_mean))
-    marker_len = max(3, base // 16)
-    # the shortest cycle the jitter can draw must still hold the marker
-    # and one sample per phase
-    if base - int(np.rint(period_jitter)) < marker_len + phases:
-        raise ValueError(
-            f"period_mean {period_mean} with period_jitter {period_jitter} "
-            f"too short for {phases} phases plus a {marker_len}-sample marker"
-        )
 
     rng = np.random.default_rng(seed)
     jitters = np.rint(rng.uniform(-period_jitter, period_jitter, cycles))

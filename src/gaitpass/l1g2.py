@@ -96,7 +96,6 @@ def fit_local_code(
     stacked: np.ndarray,
     h: int = 10,
     source_sensors: tuple[str, ...] = ("L", "R"),
-    standardize: bool = True,
     max_fit_columns: int | None = None,
 ) -> LocalCode:
     """Cluster the columns of a stacked matrix into an H-state code book.
@@ -116,7 +115,7 @@ def fit_local_code(
             f"{n_blocks} equal sensor blocks"
         )
     stride = fit_stride(stacked.shape[1], max_fit_columns)
-    clustering, _ = cluster_columns(stacked[:, ::stride], h, standardize=standardize)
+    clustering, _ = cluster_columns(stacked[:, ::stride], h)
     return LocalCode(
         clustering=clustering,
         source_sensors=tuple(source_sensors),

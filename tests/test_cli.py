@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from gaitpass import cli
 from gaitpass.cli import main
-from gaitpass.config import file_sha256
+from gaitpass.config import KEYS, file_sha256
 from gaitpass.ingest import HUGADB_SENSORS, synthesize_walker
 from gaitpass.passtensor import Passtensor, passtensor_to_text
 
@@ -347,8 +348,12 @@ CONFIG_MISTAKES = {
         ["passtensor.trim_edges=true"],
         "unknown config key passtensor.trim_edges",
     ),
-    # keys that once chose a linkage or labelled the frames
+    # keys that once chose a linkage, standardized its rows or labelled the
+    # frames
     "linkage_key": (["hca.linkage=ward"], "unknown config key hca.linkage"),
+    "standardize_key": (
+        ["hca.standardize=false"], "unknown config key hca.standardize"
+    ),
     "activity_key": (
         ["dataset.activity=walking"], "unknown config key dataset.activity"
     ),
@@ -538,6 +543,143 @@ def test_refused_before_fit_exit_2(command, text, overrides, named, tmp_path, ca
     assert message["error"] == "config"
     assert message["message"].startswith(named)
     assert not out.exists()
+
+
+# Each command with a config it would run on; the files it names are never
+# opened, because every mistake below is refused before any data.
+COMMAND_CONFIGS = {
+    "complexity": WALK,
+    "cycles": WALK,
+    "passtensor-build": WALK,
+    "pssa-train": PAIR,
+    "pssa-classify": PAIR + "  model: model.txt\n  coding: coding.txt\n",
+    "passtensor-compare": "passtensor:\n  compare: [a.txt, b.txt]\n",
+    "render": "render:\n  passtensor: a.txt\n",
+}
+DATA_READERS = (
+    "_load_files", "synthesize_walker", "load_model", "load_coding",
+    "load_passtensor", "fit_local_code",
+)
+
+
+@pytest.fixture
+def no_data(monkeypatch):
+    """Fail the test if the command reads, synthesizes or fits anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a settings mistake reached the data")
+    for name in DATA_READERS:
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def refused_before_data(command, text, overrides, tmp_path, capsys):
+    """The one stderr message of a run that must exit 2 writing nothing."""
+    out = tmp_path / "out"
+    argv = [command, "-c", config_file(tmp_path, text), "-o", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    message = json.loads(err[0])
+    assert message["error"] == "config"
+    assert not out.exists()
+    return message["message"]
+
+
+@pytest.mark.parametrize("path", list(KEYS))
+@pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
+def test_wrong_type_exit_2_before_data(command, path, no_data, tmp_path, capsys):
+    wrong = 5 if KEYS[path].type is str else "x"
+    message = refused_before_data(
+        command, COMMAND_CONFIGS[command], [f"{path}={wrong}"], tmp_path, capsys
+    )
+    assert message.startswith(f"{path}: ")
+
+
+# Mistakes in how settings fit together, or in a key a command does not
+# read, all refused before any data: each named a key only after the
+# walker was synthesized, the code books fitted or the model parsed, or
+# was not refused at all (cycles ran with coding.alpha 2), or exited 4
+# without naming the key (the two walker shapes).
+HUGADB = "dataset:\n  kind: hugadb\n  subjects:\n    ann: a.txt\n    bob: b.txt\n"
+DATA_FREE_MISTAKES = {
+    "min_runs": ("cycles", WALK, ["cycles.min_runs=0"], "cycles.min_runs: 0"),
+    "h_feet": ("passtensor-build", WALK, ["hca.h_feet=0"], "hca.h_feet: 0"),
+    "alpha_unread": ("cycles", WALK, ["coding.alpha=2"], "coding.alpha: 2"),
+    "left_unknown": ("cycles", WALK, ["cycles.left=S9"], "cycles.left: sensor 'S9'"),
+    "right_one_sensor": (
+        "cycles", WALK, ["dataset.sensors=1"], "cycles.right: unset",
+    ),
+    "complexity_sensor": (
+        "complexity", WALK, ["complexity.sensor=S9"], "complexity.sensor: 'S9'",
+    ),
+    "h_sweep_zero": (
+        "complexity", WALK, ["complexity.h_sweep=[0]"], "complexity.h_sweep: 0",
+    ),
+    "window_bool": ("complexity", WALK, ["window=[true, 600]"], "window: "),
+    "window_empty": ("cycles", WALK, ["window=[600, 600]"], "window: [600, 600)"),
+    "jitter": (
+        "cycles", WALK, ["dataset.period_jitter=40"], "dataset.period_jitter: 40",
+    ),
+    "period_short": (
+        "cycles", WALK, ["dataset.period_mean=8"], "dataset.period_mean: 8",
+    ),
+    "walker_sensor_names": (
+        "cycles", WALK, ["dataset.sensors=[LF]"], "dataset.sensors: expected",
+    ),
+    "marea_sensor_count": (
+        "pssa-train", TWO_MAREA + COVERAGE, ["dataset.sensors=2"],
+        "dataset.sensors: expected a nonempty list",
+    ),
+    "hugadb_sensors": (
+        "pssa-train", HUGADB + COVERAGE, ["dataset.sensors=[lf]"],
+        "dataset.sensors: HuGaDB",
+    ),
+    "train_both_state_counts": (
+        "pssa-train", PAIR, ["pssa.n_states=5"], "give exactly one of",
+    ),
+    "classify_dataset": (
+        "pssa-classify", COMMAND_CONFIGS["pssa-classify"],
+        ["dataset.period_jitter=40"], "dataset.period_jitter: 40",
+    ),
+    "classify_model_missing": ("pssa-classify", PAIR, [], "pssa.model: required"),
+    "render_view": (
+        "render", COMMAND_CONFIGS["render"], ["render.view=sideways"],
+        "render.view: 'sideways'",
+    ),
+    "render_ring_cycle": (
+        "render", COMMAND_CONFIGS["render"], ["render.ring_cycle=-1"],
+        "render.ring_cycle: -1",
+    ),
+    "compare_one_path": (
+        "passtensor-compare", "", ["passtensor.compare=[a.txt]"],
+        "passtensor.compare: expected 2 values",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, text, overrides, named", DATA_FREE_MISTAKES.values(),
+    ids=list(DATA_FREE_MISTAKES),
+)
+def test_data_free_mistake_exit_2_before_data(
+    command, text, overrides, named, no_data, tmp_path, capsys
+):
+    message = refused_before_data(command, text, overrides, tmp_path, capsys)
+    assert message.startswith(named)
+
+
+# The walker shapes at the edge of each bound: no jitter, and the shortest
+# period whose cycles still hold the 3-sample marker and 6 phases.
+@pytest.mark.parametrize("overrides", [
+    ["dataset.period_jitter=0.0"],
+    ["dataset.period_mean=9", "dataset.period_jitter=0"],
+])
+def test_walker_shape_edges_run(overrides, tmp_path):
+    argv = ["cycles", "-c", config_file(tmp_path, WALK), "-o", str(tmp_path / "out")]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 0
 
 
 def test_window_of_two_indices_runs(tmp_path):

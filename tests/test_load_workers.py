@@ -104,12 +104,12 @@ def loader_pids(monkeypatch, tmp_path):
 def test_pooled_load_equals_in_process_load(
     dataset, tmp_path, cores, loader_pids
 ):
-    config = load_config(write_config(tmp_path, dataset(tmp_path)))
+    settings = cli._dataset(load_config(write_config(tmp_path, dataset(tmp_path))))
     cores(2)
-    pooled, pooled_inputs = cli._load_frames(config)
+    pooled, pooled_inputs = cli._load_frames(settings)
     pooled_pids = loader_pids()
     cores(1)
-    serial, serial_inputs = cli._load_frames(config)
+    serial, serial_inputs = cli._load_frames(settings)
     serial_pids = loader_pids()
 
     assert len(pooled_pids) == len(serial_pids) == len(NAMES)
@@ -135,7 +135,7 @@ def test_pooled_load_equals_in_process_load(
 def test_one_file_loads_in_process(tmp_path, cores, loader_pids):
     config = load_config(write_config(tmp_path, marea_dataset(tmp_path, ["ann"])))
     cores(2)
-    frames, _ = cli._load_frames(config)
+    frames, _ = cli._load_frames(cli._dataset(config))
     assert loader_pids() == [os.getpid()]
     assert frames["ann"].values.flags.writeable is False
 

@@ -21,6 +21,10 @@ ALLOWED = {
 ALLOWED_PARAMETERS = {
     "main(argv)": "tests and perfbench/run.py drive the CLI in process "
                   "through it",
+    "cluster_columns(standardize)": "perfbench/spans.py keys its count of "
+                                    "linkages per matrix on this argument; "
+                                    "it goes when that count comes from an "
+                                    "in-program trace",
 }
 
 
