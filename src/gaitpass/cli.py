@@ -44,6 +44,7 @@ from .ingest import (
     load_hugadb,
     load_marea,
     marker_length,
+    read_file,
     synthesize_walker,
 )
 from .l1g2 import (
@@ -96,17 +97,24 @@ from .symbolic import (
 # dataset loading
 # ---------------------------------------------------------------------------
 
-def _load_file(kind: str, path: str, sensors: tuple[str, ...]) -> TimeSeriesFrame:
+def _load_file(
+    kind: str, path: str, sensors: tuple[str, ...]
+) -> tuple[TimeSeriesFrame, str]:
+    """One dataset file's frame and the sha256 of the bytes it was parsed
+    from, so the manifest need not read the file again."""
+    text, raw = read_file(path)
+    digest = hashlib.sha256(raw).hexdigest()
     if kind == "marea":
-        return load_marea(path, sensors)
-    return load_hugadb(path)
+        return load_marea(path, sensors, text=text), digest
+    return load_hugadb(path, text=text), digest
 
 
 def _file_fields(kind: str, path: str, sensors: tuple[str, ...]):
-    # What a worker sends back: the selected sensors' rows and their names.
-    # The parent builds the frame, so its values stay read-only.
-    frame = _load_file(kind, path, sensors)
-    return frame.values, frame.sensors, frame.sample_rate_hz
+    # What a worker sends back: the selected sensors' rows and their names,
+    # and the file's sha256.  The parent builds the frame, so its values
+    # stay read-only.
+    frame, digest = _load_file(kind, path, sensors)
+    return frame.values, frame.sensors, frame.sample_rate_hz, digest
 
 
 def _usable_cores() -> int:
@@ -118,7 +126,7 @@ def _usable_cores() -> int:
 
 def _load_files(
     kind: str, paths: list[str], sensors: tuple[str, ...]
-) -> list[TimeSeriesFrame]:
+) -> list[tuple[TimeSeriesFrame, str]]:
     """Load the dataset files, in forked workers when there are several.
 
     ``np.loadtxt`` holds the GIL, so only processes parse files at once.
@@ -134,8 +142,8 @@ def _load_files(
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
-            # fork, not spawn: a spawned worker would import numpy, scipy
-            # and gaitpass afresh, which takes longer than parsing a file
+            # fork, not spawn: a spawned worker would import numpy and
+            # gaitpass afresh, which takes longer than parsing a file
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")
             )
@@ -148,7 +156,8 @@ def _load_files(
                 # so the parent never holds two copies of every matrix
                 pending.reverse()
                 while pending:
-                    frames.append(TimeSeriesFrame(*pending.pop().result()))
+                    *fields, digest = pending.pop().result()
+                    frames.append((TimeSeriesFrame(*fields), digest))
             except BrokenProcessPool:
                 raise DataError(
                     f"dataset.subjects: a process loading the {len(paths)} "
@@ -237,14 +246,18 @@ def _dataset(config: RunConfig, one: bool = False) -> Dataset:
     return Dataset(kind, sources, names, window)
 
 
-def _load_frames(dataset: Dataset) -> tuple[dict[str, TimeSeriesFrame], list[str]]:
-    """Every subject's frame, cut to the window, and the files read."""
+def _load_frames(
+    dataset: Dataset,
+) -> tuple[dict[str, TimeSeriesFrame], dict[str, str]]:
+    """Every subject's frame, cut to the window, and the sha256 of each
+    file read, keyed by its path."""
     if dataset.kind == "synthetic":
-        inputs = []
+        inputs = {}
         loaded = [synthesize_walker(**kw).frame for kw in dataset.subjects.values()]
     else:
-        inputs = list(dataset.subjects.values())
-        loaded = _load_files(dataset.kind, inputs, dataset.sensors)
+        paths = list(dataset.subjects.values())
+        loaded, digests = zip(*_load_files(dataset.kind, paths, dataset.sensors))
+        inputs = dict(zip(paths, digests))
     frames = dict(zip(dataset.subjects, loaded))
     if dataset.window is not None:
         start, stop = dataset.window
@@ -263,10 +276,16 @@ def _json_report(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifacts name -> text, input paths)
+# subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_complexity(config: RunConfig) -> tuple[dict[str, str], list[str]]:
+# What each subcommand returns: its artifacts (name -> text) and the files it
+# read (path -> sha256).  A file read without hashing maps to None, and the
+# manifest hashes it.
+Outputs = tuple[dict[str, str], dict[str, str | None]]
+
+
+def cmd_complexity(config: RunConfig) -> Outputs:
     """Complexity table and chart comparing coding schemes on one sensor."""
     dataset = _dataset(config, one=True)
     sensor = config["complexity.sensor"]
@@ -419,14 +438,14 @@ def _partition_report(
     }
 
 
-def cmd_cycles(config: RunConfig) -> tuple[dict[str, str], list[str]]:
+def cmd_cycles(config: RunConfig) -> Outputs:
     """Landmark selection and rhythmic-cycle table for one recording."""
     inputs, _, _, report, artifacts = _cycles_pipeline(config)
     artifacts["report.json"] = _json_report(report)
     return artifacts, inputs
 
 
-def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
+def cmd_passtensor_build(config: RunConfig) -> Outputs:
     """Build and persist the phase-normalized cycle tensor."""
     bins = config["passtensor.bins"]
     cycle_range = config["passtensor.cycle_range"]
@@ -457,7 +476,7 @@ def cmd_passtensor_build(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     return artifacts, inputs
 
 
-def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
+def cmd_pssa_train(config: RunConfig) -> Outputs:
     """Fit ternary coding, select principle states, train key-state rules."""
     dataset = _dataset(config)
     if len(dataset.subjects) < 2:
@@ -523,14 +542,14 @@ def cmd_pssa_train(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     return artifacts, inputs
 
 
-def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
+def cmd_pssa_classify(config: RunConfig) -> Outputs:
     """Attribute segments of new recordings under a trained model."""
     dataset = _dataset(config)
     model_path, coding_path = config["pssa.model"], config["pssa.coding"]
     model = load_model(model_path)
     coding = load_coding(coding_path)
     frames, inputs = _load_frames(dataset)
-    inputs = inputs + [model_path, coding_path]
+    inputs = inputs | dict.fromkeys([model_path, coding_path])
     for name, frame in frames.items():
         if frame.n_samples < model.segment_length:
             raise DataError(
@@ -562,7 +581,7 @@ def cmd_pssa_classify(config: RunConfig) -> tuple[dict[str, str], list[str]]:
     return artifacts, inputs
 
 
-def cmd_passtensor_compare(config: RunConfig) -> tuple[dict[str, str], list[str]]:
+def cmd_passtensor_compare(config: RunConfig) -> Outputs:
     """Skeleton/stochastic comparison of two persisted passtensors."""
     paths = config["passtensor.compare"]
     a = load_passtensor(paths[0])
@@ -590,10 +609,10 @@ def cmd_passtensor_compare(config: RunConfig) -> tuple[dict[str, str], list[str]
             "mean": float(diff.cycle_agreement_b.mean()),
         },
     }
-    return {"diff_report.json": _json_report(report)}, [str(p) for p in paths]
+    return {"diff_report.json": _json_report(report)}, dict.fromkeys(map(str, paths))
 
 
-def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
+def cmd_render(config: RunConfig) -> Outputs:
     """Ring and cylinder views of a persisted passtensor."""
     path, view = config["render.passtensor"], config["render.view"]
     ring_cycle = config["render.ring_cycle"]
@@ -617,7 +636,7 @@ def cmd_render(config: RunConfig) -> tuple[dict[str, str], list[str]]:
         artifacts["cylinder_unrolled.svg"] = render_cylinder(pt, view="unrolled")
     if view in ("isometric", "both"):
         artifacts["cylinder_isometric.svg"] = render_cylinder(pt, view="isometric")
-    return artifacts, [path]
+    return artifacts, {path: None}
 
 
 COMMANDS = {
@@ -641,7 +660,7 @@ def _write_run(
     config: RunConfig,
     overrides: list[str],
     artifacts: dict[str, str],
-    input_paths: list[str],
+    inputs: dict[str, str | None],
 ) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     hashes = {}
@@ -662,7 +681,9 @@ def _write_run(
             o for o in overrides if not o.startswith("output_dir=")
         ),
         "parameters": config.manifest_parameters(),
-        "inputs": {path: file_sha256(path) for path in sorted(set(input_paths))},
+        "inputs": {
+            path: digest or file_sha256(path) for path, digest in inputs.items()
+        },
         "artifacts": hashes,
     }
     (outdir / "manifest.json").write_text(

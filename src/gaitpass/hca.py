@@ -12,6 +12,8 @@ of cluster centroids, in O(N*d) memory, and equals scipy's Ward linkage.
 A matrix whose Ward distances tie is linked by scipy itself, because only
 scipy's own merge order reproduces its choice among tied pairs; that path
 holds the condensed distance matrix, which ``MAX_FIT_COLUMNS`` bounds.
+scipy's k-d tree and linkage are imported where they are used, so a
+program that imports this module but links nothing never loads them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial import cKDTree
 
 # Hard ceiling on the number of columns in one fit.  It binds the tie path
 # of ``link_columns``, whose pairwise distance matrix is quadratic in this,
@@ -209,6 +209,8 @@ def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
     heights agree to rounding.  Heights are checked for ties as each round
     adds them, so a tied matrix leaves at the first round that shows it.
     """
+    from scipy.spatial import cKDTree
+
     n = len(points)
     anchor = np.array(points, dtype=float)
     offset = np.zeros_like(anchor)
@@ -307,6 +309,8 @@ def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
     else:
         merges = _ward_rounds(observations)
         if merges is None:
+            from scipy.cluster import hierarchy
+
             merges = hierarchy.linkage(observations, method="ward")
             cut_order = _cut_order(merges)
         else:

@@ -13,6 +13,7 @@ walked line by line only to name the failing line and column.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,17 +103,32 @@ class TimeSeriesFrame:
 # text files: one loader and one line cursor shared by every reader
 # ---------------------------------------------------------------------------
 
-def parse_file(path: str | Path, parse):
-    """Read the text file at ``path`` and return ``parse(text)``.
+def read_file(path: str | Path) -> tuple[str, bytes]:
+    """The text of the file at ``path`` and the bytes it was decoded from.
 
-    An unreadable file, and any :class:`DataError` or ``ValueError`` the
-    parser raises, becomes a :class:`DataError` naming the file.
+    The bytes are decoded as ``Path.read_text`` decodes them: in the
+    locale's encoding, with universal newlines.  An unreadable or
+    undecodable file raises :class:`DataError` naming it.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
+        return io.TextIOWrapper(io.BytesIO(raw)).read(), raw
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_file(path: str | Path, parse, text: str | None = None):
+    """Return ``parse`` of the text of the file at ``path``.
+
+    The file is read here unless its ``text`` is given, as ``read_file``
+    returns it.  An unreadable file, and any :class:`DataError` or
+    ``ValueError`` the parser raises, becomes a :class:`DataError` naming
+    the file.
+    """
+    path = Path(path)
+    if text is None:
+        text, _ = read_file(path)
     try:
         return parse(text)
     except (DataError, ValueError) as exc:
@@ -363,7 +379,9 @@ def _channel_values(
 
 
 def load_marea(
-    path: str | Path, sensors: tuple[str, ...] = MAREA_SENSORS
+    path: str | Path,
+    sensors: tuple[str, ...] = MAREA_SENSORS,
+    text: str | None = None,
 ) -> TimeSeriesFrame:
     """Load a per-subject MAREA text export.
 
@@ -371,7 +389,8 @@ def load_marea(
     128 Hz) or any superset/reordering described by a one-line header of
     ``<Sensor>_<Axis>`` names.  ``sensors`` selects which triplets to keep
     and fixes the row order of the result; a sensor named twice is kept
-    once, where it is first named.
+    once, where it is first named.  ``text``, when given, is the file's
+    text as ``read_file`` returns it, and the file is not read again.
     """
     path = Path(path)
     sensors = tuple(dict.fromkeys(sensors))
@@ -380,7 +399,7 @@ def load_marea(
         raise DataError(
             f"unknown MAREA sensors {unknown}; available: {list(MAREA_SENSORS)}"
         )
-    header, data = parse_file(path, _parse_table)
+    header, data = parse_file(path, _parse_table, text)
     if header is None:
         if data.shape[1] < 12:
             raise DataError(
@@ -396,16 +415,17 @@ def load_marea(
     )
 
 
-def load_hugadb(path: str | Path) -> TimeSeriesFrame:
+def load_hugadb(path: str | Path, text: str | None = None) -> TimeSeriesFrame:
     """Load a HuGaDB v1 text file, keeping the six accelerometer triplets.
 
     The file must carry a header row; accelerometer columns are recognized
     by ``acc_<location>_<axis>`` names (case-insensitive), with locations
     rf, rs, rt, lf, ls, lt.  Gyroscope and EMG columns are ignored.  All
-    18 accelerometer channels must be present.
+    18 accelerometer channels must be present.  ``text`` is as for
+    ``load_marea``.
     """
     path = Path(path)
-    header, data = parse_file(path, _parse_table)
+    header, data = parse_file(path, _parse_table, text)
     if header is None:
         raise DataError(f"{path}: HuGaDB file lacks the expected header row")
     wanted = {

@@ -15,7 +15,6 @@ from itertools import compress
 from pathlib import Path
 
 import numpy as np
-from scipy.cluster import hierarchy
 
 from .ingest import LineReader, parse_file
 from .symbolic import StateVectorSequence
@@ -420,6 +419,9 @@ def cluster_sigma(sigma: ProportionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     if sigma.n_rows < 2 or sigma.n_states < 2:
         raise ValueError("clustering needs at least a 2 x 2 matrix")
+    # imported here, as in hca, so importing pssa loads no scipy submodule
+    from scipy.cluster import hierarchy
+
     row_z = hierarchy.linkage(sigma.proportions, method="average")
     col_z = hierarchy.linkage(sigma.proportions.T, method="average")
     return hierarchy.leaves_list(row_z), hierarchy.leaves_list(col_z)

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gaitpass import cli
 from gaitpass.cli import main
@@ -957,3 +962,43 @@ def test_classify_recording_shorter_than_a_segment_exit_3(tmp_path, capsys):
         assert named in message["message"]
     assert "pssa.model" in message["message"]
     assert not out.exists()
+
+
+# Commands that read persisted files and cluster nothing, with the config
+# each runs on: none may load scipy's clustering or k-d tree.
+CLUSTER_FREE = {
+    "passtensor-compare": lambda files: (
+        f"passtensor:\n  compare: [{files['passtensor.txt']}, "
+        f"{files['passtensor.txt']}]\n"
+    ),
+    "render": lambda files: (
+        f"render:\n  passtensor: {files['passtensor.txt']}\n  view: both\n"
+    ),
+    "pssa-classify": lambda files: (
+        PAIR + f"  model: {files['model.txt']}\n  coding: {files['coding.txt']}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CLUSTER_FREE))
+def test_cluster_free_command_loads_no_scipy_clustering(
+    command, persisted_files, tmp_path
+):
+    probe = (
+        "import json, sys\n"
+        "from gaitpass.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.cluster', 'scipy.spatial')))]))\n"
+    )
+    out = tmp_path / "out"
+    cfg = config_file(tmp_path, CLUSTER_FREE[command](persisted_files))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, command, "-c", cfg, "-o", str(out)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert loaded == []
+    assert read_manifest(out)["environment"]["scipy"] == scipy.__version__

@@ -1,5 +1,5 @@
 """Every module-level import in the package source is used, and importing
-the CLI loads no process-pool machinery."""
+the CLI loads no process-pool machinery and no scipy submodule."""
 
 import ast
 import os
@@ -32,16 +32,31 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
-def test_cli_import_leaves_process_pools_unloaded():
-    # the frame loader imports them only when it starts a pool
+def loaded_after(statement, prefixes):
+    """The modules under ``prefixes`` that ``statement`` leaves in
+    ``sys.modules`` of a fresh interpreter."""
     probe = (
-        "import sys, gaitpass.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules))"
+        f"import sys; {statement}; "
+        f"print(' '.join(sorted(m for m in sys.modules "
+        f"if m.split('.')[0] in {prefixes!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return set(result.stdout.split())
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # the frame loader imports them only when it starts a pool
+    loaded = loaded_after("import gaitpass.cli", ("multiprocessing", "concurrent"))
+    assert not loaded & {"multiprocessing", "concurrent.futures.process"}
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    # hca and pssa import scipy's clustering and k-d tree where they link;
+    # the CLI imports scipy itself only for the manifest's version string
+    bare = loaded_after("import scipy", ("scipy",))
+    assert "scipy" in bare
+    assert loaded_after("import gaitpass.cli", ("scipy",)) == bare

@@ -17,6 +17,7 @@ from gaitpass.ingest import (
     _table_error,
     load_hugadb,
     load_marea,
+    read_file,
     synthesize_walker,
 )
 from oracles import parse_table_by_line
@@ -223,6 +224,35 @@ class TestLoadMarea:
         path.write_text("# only a comment\n")
         with pytest.raises(DataError, match="no data rows"):
             load_marea(path)
+
+
+# Bytes as a file holds them; None for a missing file, "dir" for a directory.
+FILE_BYTES = {
+    "crlf_and_cr": b"1 2\r\n3 4\r5 6\n",
+    "non_ascii": "# caf\u00e9\n1 2\n".encode(),
+    "undecodable": b"1 2\n\xff 3\n",
+    "empty": b"",
+    "missing": None,
+    "directory": "dir",
+}
+
+
+@pytest.mark.parametrize("raw", FILE_BYTES.values(), ids=list(FILE_BYTES))
+def test_read_file_reads_as_read_text_does(raw, tmp_path):
+    path = tmp_path / "dir" if raw == "dir" else tmp_path / "t.txt"
+    if raw == "dir":
+        path.mkdir()
+    elif raw is not None:
+        path.write_bytes(raw)
+    try:
+        want = path.read_text(), path.read_bytes()
+    except (OSError, UnicodeDecodeError) as exc:
+        want = f"cannot read {path}: {exc}"
+    try:
+        got = read_file(path)
+    except DataError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def parse_outcome(parse, text):

@@ -5,10 +5,14 @@ read-only, report the first bad file in config order, and leave no process
 behind, whether the command succeeds or fails.
 """
 
+import builtins
+import hashlib
+import io
 import json
 import multiprocessing
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -84,10 +88,10 @@ def loader_pids(monkeypatch, tmp_path):
     log = tmp_path / "pids.log"
 
     def recording(load):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             with open(log, "a") as out:
                 out.write(f"{os.getpid()}\n")
-            return load(*args)
+            return load(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(cli, "load_marea", recording(cli.load_marea))
@@ -116,9 +120,10 @@ def test_pooled_load_equals_in_process_load(
     assert os.getpid() not in pooled_pids
     assert len(set(pooled_pids)) <= 2
     assert set(serial_pids) == {os.getpid()}
-    assert pooled_inputs == serial_inputs == [
-        str(tmp_path / f"{name}.txt") for name in NAMES
-    ]
+    files = [tmp_path / f"{name}.txt" for name in NAMES]
+    assert pooled_inputs == serial_inputs == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in files
+    }
     assert list(pooled) == list(serial) == list(NAMES)
     for name in NAMES:
         a, b = pooled[name], serial[name]
@@ -164,6 +169,34 @@ def test_outputs_equal_in_process_outputs(tmp_path, cores):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("n", [2, 1])
+def test_each_file_read_once_and_hashed_as_read(tmp_path, cores, monkeypatch, n):
+    # every open of a dataset file is logged, from forked workers too
+    text = marea_dataset(tmp_path)
+    files = [str(tmp_path / f"{name}.txt") for name in NAMES]
+    log = tmp_path / "opened.log"
+    real_open = io.open
+
+    def logged_open(file, *args, **kwargs):
+        if str(file) in files:
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{file}\n".encode())
+            os.close(fd)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", logged_open)
+    monkeypatch.setattr(builtins, "open", logged_open)
+    cores(n)
+    out = tmp_path / "out"
+    assert main(["pssa-train", "-c", write_config(tmp_path, text),
+                 "-o", str(out)]) == 0
+    assert sorted(log.read_text().split()) == files
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in files
+    }
+
+
 def one_error(capfd, kind, code):
     err = capfd.readouterr().err.splitlines()
     assert len(err) == 1, err
@@ -204,7 +237,7 @@ def test_entries_checked_before_any_file_is_read(tmp_path, cores, capfd):
 def test_dead_worker_exits_3(tmp_path, cores, monkeypatch, capfd):
     parent = os.getpid()
 
-    def dying(path, sensors):
+    def dying(path, sensors, text):
         assert os.getpid() != parent, "loaded in the parent process"
         os._exit(9)
 
