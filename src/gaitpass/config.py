@@ -16,7 +16,6 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .hca import MAX_FIT_COLUMNS
 from .passtensor import MIN_BINS
 
 REQUIRED = object()  # the default of a key a command cannot run without
@@ -58,7 +57,7 @@ KEYS = {
     "pssa.coding": Key(str, REQUIRED),
     "hca.h_feet": Key(int, 10, lo=1),
     "hca.h_extra": Key(int, 8, lo=1),
-    "hca.max_fit_columns": Key(int, 20000, lo=8, hi=MAX_FIT_COLUMNS),
+    "hca.max_fit_columns": Key(int, 20000, lo=8),
     "complexity.sensor": Key(str),  # the first sensor when unset
     "complexity.h_sweep": Key(list, tuple(range(2, 28)), lo=1, item=int,
                               length=(1, math.inf)),

@@ -4,45 +4,36 @@ Columns (time points, as d-dimensional readings) are merged bottom-up under
 Ward's linkage; cutting the merge tree where exactly H clusters remain
 yields the cluster vocabulary used as a data-driven code book.
 There is one linkage per matrix (``link_columns``), cut at any H in linear
-time (``cut_columns``) with partitions identical to scipy's ``cut_tree``.
-Cluster ids are relabeled so id 0 is the most populous cluster.
+time (``cut_columns``).  Cluster ids are relabeled so id 0 is the most
+populous cluster.
 
 The linkage merges reciprocal nearest neighbours in rounds over a k-d tree
-of cluster centroids, in O(N*d) memory, and equals scipy's Ward linkage.
-A matrix whose Ward distances tie is linked by scipy itself, because only
-scipy's own merge order reproduces its choice among tied pairs; that path
-holds the condensed distance matrix, which ``MAX_FIT_COLUMNS`` bounds.
-scipy's k-d tree and linkage are imported where they are used, so a
-program that imports this module but links nothing never loads them.
+of cluster centroids, in O(N*d) memory.  Exact duplicate columns start as
+one weighted cluster, and a tie in Ward distance goes to the cluster at the
+lowest position, so tied readings (integer counts, rounded exports) link
+as continuous ones do.  Where no Ward distances tie, the linkage equals
+scipy's Ward linkage and every cut its ``cut_tree``.  The k-d tree is
+imported where it is used, so a program that imports this module but
+links nothing never loads it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-# Hard ceiling on the number of columns in one fit.  It binds the tie path
-# of ``link_columns``, whose pairwise distance matrix is quadratic in this,
-# so longer windows must be subsampled and backfilled by nearest-centroid
-# assignment.
-MAX_FIT_COLUMNS = 65536
-
-# Two Ward distances within this relative gap count as tied.  The rounds'
-# heights agree with scipy's to about 1e-15 relative, so this leaves a
-# thousandfold margin over rounding; a wider gap sends continuous matrices
-# to scipy's quadratic linkage on chance near-ties (two heights of the
-# seed-5 walker stack lie 8.7e-10 apart).
-_TIE = 1e-12
+# The ball bound of ``_nearest`` is relaxed by this relative margin, so
+# rounding in the Ward distances it bounds cannot drop a candidate.
+_MARGIN = 1e-12
 # Euclidean neighbours fetched per cluster before the exhaustive fallback.
-# Any count of 2 or more gives the same merges and tie decisions: a cluster
-# beyond the k nearest scores above the bound, so it can neither win nor
-# tie.  On the four walker matrices the auth-complexity benchmark links
-# (12,822 to 1,985 columns, 2-core VM), 2 to 6 neighbours took 0.33-0.35 s
-# in all and 16 took 0.45 s: extra neighbours cost more to fetch and score
-# than the ball searches they spare.
+# Any count of 2 or more gives the same merges: a cluster beyond the k
+# nearest scores above the bound, so it can neither win nor tie.  On the
+# four walker matrices the auth-complexity benchmark links (12,822 to 1,985
+# columns, 2-core VM), 2 to 6 neighbours took 0.33-0.35 s in all and 16
+# took 0.45 s: extra neighbours cost more to fetch and score than the ball
+# searches they spare.
 _NEIGHBOURS = 4
 # Columns labelled per matrix product in ``assign_nearest``.
 _ASSIGN_BLOCK = 16384
@@ -91,40 +82,21 @@ class ColumnClustering:
 class ColumnTree:
     """One Ward linkage of a d x N column matrix, ready to be cut at any H.
 
-    ``merges`` is scipy's (N-1) x 4 linkage matrix over the standardized
-    columns; ``cut_order`` lists its rows in the order ``cut_tree`` applies
-    them (by height, ties in reverse breadth-first order from the root),
-    so cutting at H applies the first N-H of them.
+    ``merges`` is an (N-1) x 4 linkage matrix in scipy's layout over the
+    standardized columns, its heights never falling from row to row, so
+    cutting at H applies its first N-H rows.  Where no Ward distances tie
+    it equals scipy's Ward linkage; otherwise it follows ``link_columns``'s
+    tie rule.
     """
 
     matrix: np.ndarray
     merges: np.ndarray
-    cut_order: np.ndarray
     row_mean: np.ndarray
     row_std: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.matrix, self.merges, self.cut_order,
-                    self.row_mean, self.row_std):
+        for arr in (self.matrix, self.merges, self.row_mean, self.row_std):
             arr.flags.writeable = False
-
-
-def _cut_order(merges: np.ndarray) -> np.ndarray:
-    # scipy's _order_cluster_tree walks the tree breadth-first from the
-    # root (right child queued before left) and bisect.insort_left-s each
-    # node by height, so equal heights end up in reverse walk order.
-    n = merges.shape[0] + 1
-    children = merges[:, :2].astype(np.int64).tolist()
-    walk = []
-    queue = deque([n - 2])
-    while queue:
-        row = queue.popleft()
-        walk.append(row)
-        for child in reversed(children[row]):
-            if child >= n:
-                queue.append(child - n)
-    walk = np.array(walk[::-1], dtype=np.int64)
-    return walk[np.argsort(merges[walk, 2], kind="stable")]
 
 
 def _ward_sq(anchor, offset, size, i, j):
@@ -143,25 +115,21 @@ def _nearest(tree, anchor, offset, size, query):
     """Ward nearest neighbours of the clusters at positions ``query``.
 
     ``tree`` holds the centroids.  Returns the neighbours' positions and
-    squared Ward distances, or None when some queried cluster's two nearest
-    tie (zero distances included).  The k nearest centroids give a
-    candidate; clusters outside them are at least ``r_k`` away, so none
-    beats the bound 2*n*n_min/(n+n_min)*r_k^2.  Where that bound does not
-    clear the candidate by the tie gap, a ball of the radius the bound
-    implies is searched instead.
+    squared Ward distances; of several equally near, the lowest position.
+    The k nearest centroids give a candidate; clusters outside them are at
+    least ``r_k`` away, so none reaches the bound 2*n*n_min/(n+n_min)*r_k^2.
+    Where that bound does not clear the candidate by the margin, a ball of
+    the radius the bound implies is searched instead.
     """
     m = len(size)
     k = min(_NEIGHBOURS + 1, m)
     dist, idx = tree.query(tree.data[query], k=k)
-    rows = np.arange(len(query))
     w = _ward_sq(anchor, offset, size, query[:, None], idx)
     w[idx == query[:, None]] = np.inf
-    order = np.argsort(w, axis=1)
-    best = idx[rows, order[:, 0]]
-    w1 = w[rows, order[:, 0]]
-    w2 = w[rows, order[:, 1]]
+    w1 = w.min(axis=1)
+    best = np.where(w == w1[:, None], idx, m).min(axis=1)
 
-    near = (1.0 - _TIE) ** 2
+    near = (1.0 - _MARGIN) ** 2
     n_q = size[query]
     n_min = size.min()
     floor = 2.0 * n_q * n_min / (n_q + n_min)
@@ -184,20 +152,17 @@ def _nearest(tree, anchor, offset, size, query):
         owner = np.repeat(owners, lengths)
         wc = _ward_sq(anchor, offset, size, owner, cand)
         wc[cand == owner] = np.inf
-        # Each ball holds its owner and the k-nearest candidate, so every
-        # group has a best and a second-best entry.
-        ranked = np.lexsort((wc, np.repeat(np.arange(len(owners)), lengths)))
+        # Each ball holds its owner, so no group is empty.
         first = np.cumsum(lengths) - lengths
-        best[open_] = cand[ranked[first]]
-        w1[open_] = wc[ranked[first]]
-        w2[open_] = wc[ranked[first + 1]]
-    if np.any((w1 >= w2 * near) | (w1 == 0.0)):
-        return None
+        w1[open_] = np.minimum.reduceat(wc, first)
+        tied = wc == np.repeat(w1[open_], lengths)
+        best[open_] = np.minimum.reduceat(np.where(tied, cand, m), first)
     return best, w1
 
 
-def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
-    """Scipy's Ward linkage of the N x d ``points``; None on a tie.
+def _ward_rounds(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Ward linkage of the N x d ``points``, point i standing for
+    ``weights[i]`` equal columns.
 
     Ward is reducible: merging two clusters never brings a third closer
     than the nearer of the two was.  So every pair of reciprocal nearest
@@ -205,46 +170,38 @@ def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
     (Murtagh 1983; Muellner 2011, arXiv:1109.2378), and a cluster whose
     nearest neighbour survives a round keeps it.  Each round merges every
     reciprocal pair, then re-queries only the new clusters and those that
-    lost their neighbour.  Without ties the merges are scipy's; its
-    heights agree to rounding.  Heights are checked for ties as each round
-    adds them, so a tied matrix leaves at the first round that shows it.
+    lost their neighbour.  Survivors keep their order and new clusters go
+    after them, so a tie, which goes to the lowest position, still goes to
+    a kept neighbour, and the lower cluster of the nearest pair is always
+    reciprocal.  Without ties the merges are scipy's, heights to rounding.
     """
     from scipy.spatial import cKDTree
 
     n = len(points)
     anchor = np.array(points, dtype=float)
     offset = np.zeros_like(anchor)
-    size = np.ones(n)
+    size = np.array(weights, dtype=float)
+    level = np.zeros(n)  # each cluster's merge height
     node = np.arange(n)
     nn = np.zeros(n, dtype=np.int64)
     nn_sq = np.zeros(n)
     stale = np.ones(n, dtype=bool)
-    merged_nodes, heights, sizes = [], [], []
-    placed = np.zeros(0)  # the merge heights so far, sorted
+    rows = [np.zeros((0, 4))]  # (node, node, height, size) per merge
     made = 0
     while len(size) > 1:
         m = len(size)
         query = np.flatnonzero(stale)
         tree = cKDTree(anchor + offset)
-        found = _nearest(tree, anchor, offset, size, query)
-        if found is None:
-            return None
-        nn[query], nn_sq[query] = found
+        nn[query], nn_sq[query] = _nearest(tree, anchor, offset, size, query)
         a = np.flatnonzero((nn[nn] == np.arange(m)) & (np.arange(m) < nn))
         if not len(a):
-            # A round always merges the closest pair; should rounding ever
-            # break that, scipy links the matrix instead of a loop forever.
-            return None
+            raise RuntimeError("a Ward round found no reciprocal nearest pair")
         b = nn[a]
         new_size = size[a] + size[b]
-        merged = np.sqrt(nn_sq[a])
-        new = np.sort(merged)
-        placed = np.insert(placed, np.searchsorted(placed, new), new)
-        if np.any(np.diff(placed) <= _TIE * placed[1:]):
-            return None
-        merged_nodes.append(np.column_stack((node[a], node[b])))
-        heights.append(merged)
-        sizes.append(new_size)
+        # A parent never sits below its children, even where rounding
+        # puts an exact tie between them (an equilateral triple) a hair low.
+        new_level = np.maximum(np.sqrt(nn_sq[a]), np.maximum(level[a], level[b]))
+        rows.append(np.column_stack((node[a], node[b], new_level, new_size)))
 
         # The merged cluster keeps a's anchor; its centroid moves from a's
         # towards b's by n_b / (n_a + n_b) of the gap.
@@ -259,28 +216,61 @@ def _ward_rounds(points: np.ndarray) -> np.ndarray | None:
         nn_sq = np.concatenate((nn_sq[keep], np.zeros(len(a))))
         anchor = np.concatenate((anchor[keep], anchor[a]))
         offset = np.concatenate((offset[keep], new_offset))
+        level = np.concatenate((level[keep], new_level))
         node = np.concatenate((node[keep], n + made + np.arange(len(a))))
         made += len(a)
         size = np.concatenate((size[keep], new_size))
 
-    height = np.concatenate(heights)
-    order = np.argsort(height, kind="stable")
-    height = height[order]
+    merges = np.concatenate(rows)
+    # Stable, so a child whose height its parent ties stays before it.
+    order = np.argsort(merges[:, 2], kind="stable")
+    merges = merges[order]
     # Number each merge by its row in height order, as scipy does.
     label = np.arange(2 * n - 1)
     label[n + order] = n + np.arange(n - 1)
-    children = np.sort(label[np.concatenate(merged_nodes)[order]], axis=1)
-    return np.column_stack((children, height, np.concatenate(sizes)[order]))
+    merges[:, :2] = np.sort(label[merges[:, :2].astype(np.int64)], axis=1)
+    return merges
+
+
+def _join_duplicates(points: np.ndarray):
+    """Exact duplicate rows of the N x d ``points``, joined at height zero.
+
+    Returns which rows are the first of their copies, the linkage rows
+    that join each later copy to the cluster of those before it (one row
+    per copy, in row order), and for each distinct row, in order of first
+    appearance, its count and the node its copies form.
+    """
+    n = len(points)
+    # Copies end up adjacent, each run in row order.
+    order = np.lexsort(points.T[::-1])
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(points[order[1:]] != points[order[:-1]], axis=1)
+    start = np.flatnonzero(new)
+    first = np.zeros(n, dtype=bool)
+    first[order[start]] = True
+    # The node a row's cluster is once the row has joined.
+    node = np.where(first, np.arange(n), n + np.cumsum(~first) - 1)
+    at = np.flatnonzero(~new)  # the later copies' places in ``order``
+    joins = np.zeros((len(at), 4))
+    rows = node[order[at]] - n
+    joins[rows, :2] = np.sort(np.column_stack((node[order[at - 1]], order[at])))
+    joins[rows, 3] = at - start[np.cumsum(new)[at] - 1] + 1
+    runs = np.argsort(order[start])  # the runs by first appearance
+    counts = np.diff(np.append(start, n))[runs]
+    top = node[order[np.append(start[1:], n) - 1]][runs]
+    return first, joins, counts, top
 
 
 def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
     """Ward-link the columns of a d x N matrix once, for cutting at any H.
 
     Rows are optionally standardized to zero mean and unit variance before
-    distances are computed (constant rows keep unit scale).  The merges
-    equal scipy's ``linkage(method="ward")``; a matrix with tied Ward
-    distances is handed to that call, the others never build a distance
-    matrix.
+    distances are computed (constant rows keep unit scale).  Exact
+    duplicate columns join first, at height zero in column order.  The
+    rounds link the distinct ones and give a tie in Ward distance to the
+    cluster at the lowest position: distinct columns by first appearance,
+    each round's new clusters after the survivors.  Where no Ward
+    distances tie, the merges equal scipy's ``linkage(method="ward")``.
     """
     matrix = np.array(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
@@ -288,11 +278,6 @@ def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains NaN or Inf")
     d, n = matrix.shape
-    if n > MAX_FIT_COLUMNS:
-        raise ValueError(
-            f"{n} columns exceeds the fit ceiling of {MAX_FIT_COLUMNS}; "
-            "subsample and backfill with assign_nearest"
-        )
 
     if standardize:
         row_mean = matrix.mean(axis=1)
@@ -303,24 +288,16 @@ def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
         row_std = np.ones(d)
     observations = ((matrix - row_mean[:, None]) / row_std[:, None]).T
 
-    if n == 1:
-        merges = np.zeros((0, 4))
-        cut_order = np.zeros(0, dtype=np.int64)
-    else:
-        merges = _ward_rounds(observations)
-        if merges is None:
-            from scipy.cluster import hierarchy
-
-            merges = hierarchy.linkage(observations, method="ward")
-            cut_order = _cut_order(merges)
-        else:
-            # The rounds' heights strictly increase (a tie returns None),
-            # so a cut applies their merges in row order.
-            cut_order = np.arange(n - 1)
+    first, joins, counts, top = _join_duplicates(observations)
+    merges = _ward_rounds(observations[first], counts)
+    # The rounds number their u start clusters 0..u-1 and their merges
+    # u, u+1, ...; here those merges follow the N-u joins of copies.
+    u = len(counts)
+    label = np.concatenate((top, np.arange(u, 2 * u - 1) + 2 * (n - u)))
+    merges[:, :2] = np.sort(label[merges[:, :2].astype(np.int64)], axis=1)
     return ColumnTree(
         matrix=matrix,
-        merges=merges,
-        cut_order=cut_order,
+        merges=np.concatenate((joins, merges)),
         row_mean=row_mean,
         row_std=row_std,
     )
@@ -329,11 +306,11 @@ def link_columns(matrix: np.ndarray, standardize: bool = True) -> ColumnTree:
 def cut_columns(tree: ColumnTree, h: int) -> tuple[ColumnClustering, np.ndarray]:
     """Cut a column tree where exactly ``h`` clusters remain.
 
-    The partition equals ``scipy.cluster.hierarchy.cut_tree``'s at every
-    H, ties in merge height included, in time linear in N (up to a log
-    factor for the root lookup).  Cluster ids come out in decreasing size
-    order, ties broken by earliest member column.  Returns the code book
-    and the N fitted columns' cluster ids.
+    The cut applies the tree's first N-h merges, in time linear in N (up
+    to a log factor for the root lookup); where no merge heights tie, the
+    partition equals ``scipy.cluster.hierarchy.cut_tree``'s.  Cluster ids
+    come out in decreasing size order, ties broken by earliest member
+    column.  Returns the code book and the N fitted columns' cluster ids.
     """
     matrix = tree.matrix
     d, n = matrix.shape
@@ -343,9 +320,8 @@ def cut_columns(tree: ColumnTree, h: int) -> tuple[ColumnClustering, np.ndarray]
     # Apply the first N-h merges as parent pointers over all 2N-1 nodes,
     # then double the pointers until every node points at its root.
     parent = np.arange(2 * n - 1)
-    applied = tree.cut_order[: n - h]
-    children = tree.merges[applied, :2].astype(np.int64)
-    parent[children] = (applied + n)[:, None]
+    children = tree.merges[: n - h, :2].astype(np.int64)
+    parent[children] = np.arange(n, 2 * n - h)[:, None]
     while True:
         grandparent = parent[parent]
         if np.array_equal(grandparent, parent):

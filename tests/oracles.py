@@ -152,6 +152,84 @@ def agglomerate_literal(matrix, h: int, linkage: str) -> set[frozenset[int]]:
     return {frozenset(group) for group in members.values()}
 
 
+def ward_ties_literal(matrix) -> list[tuple[frozenset[int], float]]:
+    """Ward merges of the columns of a d x N matrix, ties to the lower position.
+
+    Exact duplicate columns start as one cluster of their count, clusters
+    listed by first appearance, and each later copy joins the copies
+    before it at height zero, in column order.  Then every round scores
+    all pairs of clusters, gives each cluster its nearest (of several
+    equally near, the one listed first), merges every reciprocal pair, and
+    lists the survivors in their order followed by the new clusters, in the
+    order of their lower-listed halves.  A merge's height is the pair's
+    Ward distance, raised to its children's heights where rounding puts it
+    below them.  Returns ``(members, height)`` per merge, in the order a
+    cut applies them: by height, ties in the order made.
+
+    A centroid is held as ``hca`` holds it, one member column plus an
+    offset that the lower-listed half keeps when two clusters merge, so
+    both sides round every distance alike and meet the same exact ties.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[1]
+    merges = []
+    groups: dict[tuple, list[int]] = {}
+    for j in range(n):
+        column = tuple(matrix[:, j])
+        if column in groups:
+            groups[column].append(j)
+            merges.append((frozenset(groups[column]), 0.0))
+        else:
+            groups[column] = [j]
+    # (members, anchor, offset, height) per cluster, listed in order
+    clusters = [
+        (members, np.array(column), np.zeros(len(column)), 0.0)
+        for column, members in groups.items()
+    ]
+
+    def gap(p, q):
+        _, anchor_p, offset_p, _ = clusters[p]
+        _, anchor_q, offset_q, _ = clusters[q]
+        return (anchor_q - anchor_p) + (offset_q - offset_p)
+
+    def ward(p, q):
+        n_p, n_q = float(len(clusters[p][0])), float(len(clusters[q][0]))
+        return 2.0 * n_p * n_q / (n_p + n_q) * float(np.sum(gap(p, q) ** 2))
+
+    made = []
+    while len(clusters) > 1:
+        nearest = []
+        for p in range(len(clusters)):
+            others = [q for q in range(len(clusters)) if q != p]
+            scores = [ward(p, q) for q in others]
+            nearest.append(others[scores.index(min(scores))])
+        survivors, fresh = [], []
+        for p, q in enumerate(nearest):
+            if nearest[q] != p:
+                survivors.append(clusters[p])
+            elif p < q:
+                members_p, anchor, offset, height_p = clusters[p]
+                members_q, _, _, height_q = clusters[q]
+                share = len(members_q) / float(len(members_p) + len(members_q))
+                height = max(math.sqrt(ward(p, q)), height_p, height_q)
+                members = members_p + members_q
+                fresh.append((members, anchor, offset + share * gap(p, q), height))
+                made.append((frozenset(members), height))
+        assert fresh, "a round without a reciprocal pair"
+        clusters = survivors + fresh
+    return merges + sorted(made, key=lambda merge: merge[1])
+
+
+def partition_after(merges, n: int, h: int) -> set[frozenset[int]]:
+    """The partition of ``n`` columns once the first ``n - h`` of the
+    ``(members, height)`` merges are applied."""
+    groups = {j: frozenset([j]) for j in range(n)}
+    for members, _ in merges[: n - h]:
+        for j in members:
+            groups[j] = members
+    return set(groups.values())
+
+
 def partition_of_assignments(assignments) -> set[frozenset[int]]:
     """Label-free view of a flat cluster assignment vector."""
     groups: dict[int, list[int]] = {}

@@ -343,11 +343,6 @@ CONFIG_MISTAKES = {
     "h_feet_above_subsample": (
         ["hca.max_fit_columns=100", "hca.h_feet=101"], "the 100 columns"
     ),
-    # a cap above the linkage's own ceiling once failed the fit (exit 4)
-    "max_fit_above_ceiling": (
-        ["hca.max_fit_columns=65537"],
-        "hca.max_fit_columns: 65537 above maximum 65536",
-    ),
     # the second cycle selector, next to passtensor.cycle_range
     "trim_edges_key": (
         ["passtensor.trim_edges=true"],
@@ -980,10 +975,9 @@ CLUSTER_FREE = {
 }
 
 
-@pytest.mark.parametrize("command", list(CLUSTER_FREE))
-def test_cluster_free_command_loads_no_scipy_clustering(
-    command, persisted_files, tmp_path
-):
+def scipy_loaded_by(command, text, tmp_path):
+    """The scipy clustering and k-d tree modules a fresh ``gaitpass
+    command`` process on config ``text`` loads, and its output directory."""
     probe = (
         "import json, sys\n"
         "from gaitpass.cli import main\n"
@@ -992,7 +986,7 @@ def test_cluster_free_command_loads_no_scipy_clustering(
         "if m.startswith(('scipy.cluster', 'scipy.spatial')))]))\n"
     )
     out = tmp_path / "out"
-    cfg = config_file(tmp_path, CLUSTER_FREE[command](persisted_files))
+    cfg = config_file(tmp_path, text)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
     result = subprocess.run(
         [sys.executable, "-c", probe, command, "-c", cfg, "-o", str(out)],
@@ -1000,5 +994,32 @@ def test_cluster_free_command_loads_no_scipy_clustering(
     )
     code, loaded = json.loads(result.stdout.splitlines()[-1])
     assert code == 0, result.stderr
+    return loaded, out
+
+
+# Commands that link columns load the k-d tree; only pssa-train, which
+# orders its heatmap by average linkage, loads scipy's clustering.
+CLUSTERING = {
+    "cycles": (WALK, False),
+    "passtensor-build": (WALK, False),
+    "complexity": (WALK, False),
+    "pssa-train": (PAIR, True),
+}
+
+
+@pytest.mark.parametrize("command", list(CLUSTERING))
+def test_only_pssa_train_loads_scipy_clustering(command, tmp_path):
+    text, clusters = CLUSTERING[command]
+    loaded, _ = scipy_loaded_by(command, text, tmp_path)
+    assert "scipy.spatial" in loaded
+    assert ("scipy.cluster" in loaded) == clusters
+
+
+@pytest.mark.parametrize("command", list(CLUSTER_FREE))
+def test_cluster_free_command_loads_no_scipy_clustering(
+    command, persisted_files, tmp_path
+):
+    text = CLUSTER_FREE[command](persisted_files)
+    loaded, out = scipy_loaded_by(command, text, tmp_path)
     assert loaded == []
     assert read_manifest(out)["environment"]["scipy"] == scipy.__version__

@@ -109,7 +109,7 @@ RANGE_ERRORS = [
     ("dataset.kind", "bogus", "'bogus' not one of"),
     ("render.view", "sideways", "'sideways' not one of"),
     ("cycles.min_runs", 0, "0 below minimum 1"),
-    ("hca.max_fit_columns", 65537, "65537 above maximum 65536"),
+    ("hca.max_fit_columns", 7, "7 below minimum 8"),
     ("passtensor.bins", 7, "7 below minimum 8"),
     ("complexity.h_sweep", [3, 0], "0 below minimum 1"),
     ("window", [-1, 5], "-1 below minimum 0"),

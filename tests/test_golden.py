@@ -260,9 +260,9 @@ def test_compare_report_bytes_match_recorded_digest(tmp_path):
     assert hashlib.sha256(data).hexdigest() == COMPARE_DIGEST
 
 
-# The tie path of the linkage: readings rounded to integer counts repeat
-# columns and tie Ward distances, so ``link_columns`` hands the matrix to
-# scipy.  One headerless 12-column MAREA file of integer values.
+# Readings rounded to integer counts repeat columns and tie Ward distances,
+# so this fit takes ``link_columns``'s duplicate joins and lowest-position
+# tie rule.  One headerless 12-column MAREA file of integer values.
 TIED_GOLDEN = {
     "cycles.tsv":
         "f77ccdaa169c6fff6fb95a596fc9174589b72695a69008b11c30c15274165da6",

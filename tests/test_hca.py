@@ -12,9 +12,7 @@ from scipy.spatial import cKDTree
 
 from gaitpass import hca
 from gaitpass.hca import (
-    MAX_FIT_COLUMNS,
     ColumnClustering,
-    _cut_order,
     _nearest,
     _ward_rounds,
     assign_nearest,
@@ -28,7 +26,9 @@ from oracles import (
     agglomerate_literal,
     assign_nearest_whole,
     nearest_scan_literal,
+    partition_after,
     partition_of_assignments,
+    ward_ties_literal,
 )
 
 
@@ -61,7 +61,7 @@ def tree_of(matrix, linkage, standardize=True):
     if linkage == "ward":
         return tree
     merges = hierarchy.linkage(observations_of(tree), method=linkage)
-    return replace(tree, merges=merges, cut_order=_cut_order(merges))
+    return replace(tree, merges=merges)
 
 
 class TestClusterColumns:
@@ -153,36 +153,53 @@ class TestClusterColumns:
             cluster_columns(np.zeros(5), 2)
         with pytest.raises(ValueError, match="NaN"):
             cluster_columns(np.array([[np.nan, 1.0]]), 1)
-        with pytest.raises(ValueError, match="ceiling"):
-            cluster_columns(np.zeros((1, MAX_FIT_COLUMNS + 1)), 2)
+        # No column count is refused: 65,537 equal columns make one start
+        # cluster, so linking them allocates nothing quadratic.
+        tree = link_columns(np.zeros((1, 65537)))
+        assert cut_columns(tree, 1)[0].sizes.tolist() == [65537]
+        assert cut_columns(tree, 2)[0].sizes.tolist() == [65536, 1]
 
 
-def tied_matrices():
-    """Matrices whose merge heights tie: the cases a row-order cut gets wrong."""
+def cut_matrices():
+    """Matrices whose merge heights tie, and one whose heights never do."""
     rng = np.random.default_rng(27)
     repeated = rng.standard_normal((2, 12))
     return {
         "integer_grid": rng.integers(0, 4, size=(2, 60)).astype(float),
         "repeated_columns": np.concatenate([repeated] * 4, axis=1),
         "rounded": np.round(rng.standard_normal((3, 50)), 1),
+        "continuous": rng.standard_normal((3, 50)),
     }
 
 
 class TestCutColumns:
-    @pytest.mark.parametrize("kind", ["integer_grid", "repeated_columns", "rounded"])
+    @pytest.mark.parametrize("kind", list(cut_matrices()))
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_matches_scipy_cut_tree_at_every_h(self, linkage, kind):
-        matrix = tied_matrices()[kind]
+        """The cut applies the first N-H rows; scipy's ``cut_tree`` orders
+        rows of equal height its own way, so the two agree wherever the cut
+        does not fall inside a run of tied heights, and at every H on the
+        continuous matrix, whose heights strictly increase."""
+        matrix = cut_matrices()[kind]
         tree = tree_of(matrix, linkage)
         n = matrix.shape[1]
+        height = tree.merges[:, 2]
+        if kind == "continuous":
+            assert np.all(np.diff(height) > 0)
+        checked = 0
         for h in range(1, n + 1):
+            applied = n - h
+            if 0 < applied < n - 1 and height[applied - 1] == height[applied]:
+                continue
             _, got = cut_columns(tree, h)
             want = hierarchy.cut_tree(tree.merges, n_clusters=h).ravel()
             assert partition_of_assignments(got) == \
                 partition_of_assignments(want), h
+            checked += 1
+        assert checked >= 2
 
     def test_one_tree_cut_at_a_sweep_equals_separate_fits(self):
-        matrix = tied_matrices()["integer_grid"]
+        matrix = cut_matrices()["integer_grid"]
         tree = link_columns(matrix)
         for h in [5, 2, 5, 27]:
             cut, labels = cut_columns(tree, h)
@@ -200,7 +217,7 @@ class TestCutColumns:
         assert clustering.centroids.tolist() == [[2.0, 5.0]]
 
     def test_h_one_and_h_n(self):
-        matrix = tied_matrices()["repeated_columns"]
+        matrix = cut_matrices()["repeated_columns"]
         tree = link_columns(matrix)
         n = matrix.shape[1]
         _, one = cut_columns(tree, 1)
@@ -222,7 +239,7 @@ class TestCutColumns:
         matrix[0, 0] = 99.0
         assert tree.matrix[0, 0] == 0.0
         with pytest.raises(ValueError):
-            tree.cut_order[0] = 1
+            tree.merges[0, 2] = 1.0
 
 
 class TestAssignNearest:
@@ -370,6 +387,17 @@ def assert_same_linkage(got, want):
     assert np.allclose(got[:, 2], want[:, 2], rtol=1e-12, atol=0)
 
 
+def linking_peak(matrix):
+    """Bytes ``link_columns(matrix)`` holds at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        link_columns(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def walker_stack(cycles, seed=1):
     """The stacked 3 x 2T foot matrix of a 2-sensor walker."""
     frame = synthesize_walker(
@@ -397,8 +425,7 @@ class TestWardRounds:
     def test_rounds_link_continuous_matrices_alone(self, seed):
         rng = np.random.default_rng(seed)
         observations = rng.standard_normal((200, 1 + seed % 4))
-        got = _ward_rounds(observations)
-        assert got is not None
+        got = _ward_rounds(observations, np.ones(len(observations)))
         assert_same_linkage(got, hierarchy.linkage(observations, method="ward"))
 
     @pytest.mark.parametrize("noise", [1e-3, 1e-6, 1e-9])
@@ -410,41 +437,17 @@ class TestWardRounds:
         observations = np.repeat(centers, 300, axis=0) + noise * (
             rng.standard_normal((1800, 3))
         )
-        got = _ward_rounds(observations)
-        assert got is not None
+        got = _ward_rounds(observations, np.ones(len(observations)))
         assert_same_linkage(got, hierarchy.linkage(observations, method="ward"))
 
-    def test_tied_matrices_take_scipy_linkage(self):
-        matrices = dict(tied_matrices())
-        rng = np.random.default_rng(31)
-        matrices["integers"] = rng.integers(0, 20, size=(3, 2000)).astype(float)
-        for kind, matrix in matrices.items():
-            tree = link_columns(matrix)
-            assert _ward_rounds(observations_of(tree)) is None, kind
-            assert np.array_equal(tree.merges, scipy_ward(tree)), kind
-
-    def test_equal_heights_are_ties(self):
-        # Two far-apart pairs at the same spacing: no cluster has a tied
-        # neighbour, but two merge heights are equal.
-        observations = np.array([[0.0], [1.0], [10.0], [11.0]])
-        assert _ward_rounds(observations) is None
-
-    def test_tied_heights_stop_at_the_first_round(self, monkeypatch):
-        # Two far-apart copies of one continuous matrix: no cluster has a
-        # tied neighbour, but every merge height comes twice, the first
-        # round's included.
-        rng = np.random.default_rng(33)
-        points = rng.standard_normal((500, 3))
-        observations = np.concatenate((points, points + [100.0, 0.0, 0.0]))
-        rounds = []
-
-        def counted(*args):
-            rounds.append(1)
-            return _nearest(*args)
-
-        monkeypatch.setattr(hca, "_nearest", counted)
-        assert _ward_rounds(observations) is None
-        assert len(rounds) == 1
+    def test_parent_never_sits_below_its_child(self):
+        # An equilateral triple: the second merge ties the first exactly,
+        # and rounding puts its Ward distance a hair below.  The parent
+        # takes its child's height and keeps the row after it.
+        points = np.array([[0.0, 0.3, 0.3], [0.0, 0.6, 0.6], [0.3, 0.3, 0.6]])
+        merges = _ward_rounds(points, np.ones(3))
+        assert merges[:, [0, 1, 3]].tolist() == [[0, 1, 2], [2, 3, 3]]
+        assert merges[1, 2] == merges[0, 2]
 
     def test_nearest_allows_for_rounded_centroids(self, monkeypatch):
         # Far from the origin the tree holds centroids a fraction of an ulp
@@ -466,7 +469,6 @@ class TestWardRounds:
         matrix = walker_stack(20)
         assert 5000 < matrix.shape[1] < 5300
         tree = link_columns(matrix)
-        assert _ward_rounds(observations_of(tree)) is not None
         assert_same_linkage(tree.merges, scipy_ward(tree))
 
     # Seed 5's stack has two merge heights 8.7e-10 apart relative, a chance
@@ -476,13 +478,15 @@ class TestWardRounds:
         # scipy's pdist-based linkage peaks near 706 MB on this matrix.
         matrix = walker_stack(50, seed=seed)
         assert matrix.shape[1] == columns
-        tracemalloc.start()
-        try:
-            link_columns(matrix)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert linking_peak(matrix) < 64 * 2**20
+
+    def test_integer_walker_stack_links_in_linear_memory(self):
+        # The seed-1 stack as integer counts: 8 of its 12,822 columns
+        # repeat and many Ward distances tie.  scipy's linkage peaked near
+        # 1.3 GB of RSS on it.
+        matrix = np.round(walker_stack(50, seed=1) * 1000)
+        assert np.unique(matrix, axis=1).shape[1] == 12814
+        assert linking_peak(matrix) < 64 * 2**20
 
 
 def chain(n, scale=1.0):
@@ -496,7 +500,7 @@ def standardized_walker_columns(n, seed):
 
 
 def rounds_points(kind, n, seed):
-    """``n`` points for the rounds: continuous, walker, chain or tied."""
+    """``n`` points to link: continuous, walker, chain, tied or rounded."""
     rng = np.random.default_rng(seed)
     if kind == "random":
         return rng.standard_normal((n, int(rng.integers(1, 5))))
@@ -504,12 +508,21 @@ def rounds_points(kind, n, seed):
         return standardized_walker_columns(n, seed % 8)
     if kind == "chain":
         return chain(n, rng.uniform(0.1, 10.0))
+    if kind == "rounded":
+        return np.round(rng.standard_normal((n, 3)), 1)
     return rng.integers(0, 4, (n, 2)).astype(float)
+
+
+CONTINUOUS = ["random", "walker", "chain"]
+
+
+def merges_of(points):
+    return link_columns(points.T, standardize=False).merges
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "walker", "chain", "tied"]),
+    kind=st.sampled_from(CONTINUOUS + ["tied", "rounded"]),
     n=st.integers(min_value=2, max_value=240),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -518,47 +531,125 @@ def test_neighbour_count_changes_no_merge(kind, n, seed):
 
     The ball bound sends every cluster whose nearest lies outside the k
     fetched to the exhaustive search, so k moves only the work, never a
-    merge, a height, or a tie decision.
+    merge, a height, or the lowest position among tied neighbours.
     """
     points = rounds_points(kind, n, seed)
     results = []
     with pytest.MonkeyPatch.context() as patch:
         for k in (2, 4, 16):
             patch.setattr(hca, "_NEIGHBOURS", k)
-            results.append(_ward_rounds(points))
-    first = results[0]
+            results.append(merges_of(points))
     for other in results[1:]:
-        assert (other is None) == (first is None)
-        if first is not None:
-            assert np.array_equal(other, first)
+        assert np.array_equal(other, results[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "walker", "chain", "tied"]),
+    kind=st.sampled_from(CONTINUOUS + ["tied"]),
     n=st.integers(min_value=2, max_value=240),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_rounds_cut_in_row_order(kind, n, seed):
-    """Where the rounds link a matrix, ``cut_tree`` applies its merges in
-    row order, which is the order ``link_columns`` stores for them."""
+    """Heights never fall from row to row and every child row comes before
+    its parent, so a cut applies the first N-H rows.  On continuous points
+    the heights strictly increase, so that is ``cut_tree``'s order too."""
     points = rounds_points(kind, n, seed)
-    merges = _ward_rounds(points)
-    if merges is not None:
-        assert np.array_equal(_cut_order(merges), np.arange(n - 1))
-        tree = link_columns(points.T, standardize=False)
-        assert np.array_equal(tree.merges, merges)
-        assert np.array_equal(tree.cut_order, np.arange(n - 1))
+    tree = link_columns(points.T, standardize=False)
+    height = tree.merges[:, 2]
+    assert np.all(np.diff(height) >= 0)
+    assert np.all(tree.merges[:, :2] < n + np.arange(n - 1)[:, None])
+    if kind in CONTINUOUS:
+        assert np.all(np.diff(height) > 0)
+        # (cut_tree mislabels the H = N column of a multi-H call)
+        want = hierarchy.cut_tree(tree.merges, n_clusters=np.arange(1, n))
+        for h in range(1, n):
+            _, got = cut_columns(tree, h)
+            assert partition_of_assignments(got) == \
+                partition_of_assignments(want[:, h - 1])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7919])
 def test_walker_rounds_cut_in_row_order(seed):
-    # the 50-cycle walker stacks the benchmark's code-book fits link
+    # The 50-cycle walker stacks the benchmark's code-book fits link: no
+    # column repeats and the heights strictly increase, so the rounds link
+    # every column and ``cut_tree`` applies the merges in row order.
     tree = link_columns(walker_stack(50, seed=seed))
-    merges = _ward_rounds(observations_of(tree))
-    assert merges is not None
-    assert np.array_equal(tree.merges, merges)
-    assert np.array_equal(_cut_order(merges), tree.cut_order)
+    n = tree.matrix.shape[1]
+    assert np.array_equal(
+        tree.merges, _ward_rounds(observations_of(tree), np.ones(n))
+    )
+    assert np.all(np.diff(tree.merges[:, 2]) > 0)
+
+
+def tie_matrix(kind, d, n, rng):
+    """A d x n matrix whose Ward distances tie, with or without repeats."""
+    if kind == "integers":
+        return rng.integers(0, 4, (d, n)).astype(float)
+    if kind == "quarters":
+        return rng.integers(-3, 4, (d, n)) / 4.0
+    if kind == "rounded":
+        return np.round(rng.standard_normal((d, n)), 1)
+    base = rng.standard_normal((d, max(1, n // 4)))
+    return base[:, rng.integers(0, base.shape[1], n)]
+
+
+TIE_KINDS = ["integers", "quarters", "rounded", "repeated"]
+
+
+class TestTies:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(TIE_KINDS),
+        d=st.integers(min_value=1, max_value=3),
+        n=st.integers(min_value=1, max_value=60),
+        standardize=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_literal_rounds(self, kind, d, n, standardize, seed):
+        """The rounds and the literal agglomeration under the same tie rule
+        give the same heights and the same partition at every H."""
+        matrix = tie_matrix(kind, d, n, np.random.default_rng(seed))
+        tree = link_columns(matrix, standardize=standardize)
+        want = ward_ties_literal(observations_of(tree).T)
+        assert tree.merges[:, 2].tolist() == [height for _, height in want]
+        for h in range(1, n + 1):
+            _, got = cut_columns(tree, h)
+            assert partition_of_assignments(got) == partition_after(want, n, h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["tied", "rounded"]),
+        n=st.integers(min_value=2, max_value=240),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_heights_and_labels(self, kind, n, seed):
+        """Each merge height is the Ward distance of the two clusters it
+        joins and never falls below its children's; identical columns
+        share a label at every H up to the count of distinct columns, and
+        distinct ones at no H from that count on."""
+        points = rounds_points(kind, n, seed)
+        tree = link_columns(points.T, standardize=False)
+        members = [[j] for j in range(n)]
+        for left, right, height, size in tree.merges:
+            a, b = members[int(left)], members[int(right)]
+            gap = points[a].mean(axis=0) - points[b].mean(axis=0)
+            ward = np.sqrt(2.0 * len(a) * len(b) / (len(a) + len(b)) * gap @ gap)
+            assert np.isclose(height, ward, rtol=1e-9, atol=1e-12)
+            for child in (int(left), int(right)):
+                if child >= n:
+                    assert height >= tree.merges[child - n, 2]
+            members.append(a + b)
+            assert size == len(a) + len(b)
+        _, column = np.unique(points, axis=0, return_inverse=True)
+        same = column[:, None] == column[None, :]
+        distinct = int(column.max()) + 1
+        for h in range(1, n + 1):
+            _, labels = cut_columns(tree, h)
+            shared = labels[:, None] == labels[None, :]
+            if h <= distinct:
+                assert np.all(shared[same])
+            if h >= distinct:
+                assert not np.any(shared[~same])
 
 
 @settings(max_examples=150, deadline=None)
