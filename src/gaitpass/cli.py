@@ -38,6 +38,7 @@ from .config import (
 from .errors import ConfigError, DataError, GaitError
 from .hca import cut_columns, link_columns
 from .ingest import (
+    AXES,
     HUGADB_SENSORS,
     MAREA_SENSORS,
     TimeSeriesFrame,
@@ -503,7 +504,7 @@ def cmd_pssa_train(config: RunConfig) -> Outputs:
 
     sigma = build_proportion_matrix(seqs, pss, segment_length)
     train, test = split_alternating(sigma)
-    model = train_key_pss(train)
+    model, margins = train_key_pss(train)
     tested = classify_matrix(model, test)
 
     row_order, col_order = cluster_sigma(train)
@@ -526,10 +527,10 @@ def cmd_pssa_train(config: RunConfig) -> Outputs:
         "segment_length": segment_length,
         "train_rows": train.n_rows,
         "test_rows": test.n_rows,
-        "train_accuracy": model.training_accuracy,
+        "train_accuracy": classify_matrix(model, train).accuracy(train.subjects),
         "test_accuracy": tested.accuracy(test.subjects),
         "test_fallback_rate": float(tested.fallback.mean()),
-        "margins": {s: model.margins[s] for s in model.subjects},
+        "margins": margins,
     }
     artifacts = {
         "model.txt": model_to_text(model),
@@ -548,6 +549,18 @@ def cmd_pssa_classify(config: RunConfig) -> Outputs:
     model_path, coding_path = config["pssa.model"], config["pssa.coding"]
     model = load_model(model_path)
     coding = load_coding(coding_path)
+    channels = [f"{sensor}_{axis}" for sensor in dataset.sensors for axis in AXES]
+    coded = [f"{sensor}_{axis}" for sensor, axis in coding.channels]
+    if coded != channels:
+        raise ConfigError(
+            f"pssa.coding: {coding_path} codes channels {' '.join(coded)}, "
+            f"but the dataset holds {' '.join(channels)}"
+        )
+    if model.pss.shape[1] != coding.n_dims:
+        raise ConfigError(
+            f"pssa.model: {model_path} holds {model.pss.shape[1]}-digit states, "
+            f"but pssa.coding {coding_path} codes {coding.n_dims} channels"
+        )
     frames, inputs = _load_frames(dataset)
     inputs = inputs | dict.fromkeys([model_path, coding_path])
     for name, frame in frames.items():

@@ -43,33 +43,28 @@ _ASSIGN_BLOCK = 16384
 class ColumnClustering:
     """The code book one column-clustering fit leaves behind.
 
-    ``centroids`` are raw-space per-cluster member means (h x d) and
-    ``sizes`` the fitted columns each cluster took; ``row_mean``/``row_std``
-    record the per-row standardization applied before clustering
-    (zeros/ones when standardization was off).
+    ``centroids`` are raw-space per-cluster member means (h x d), with
+    cluster 0 the one that took the most fitted columns;
+    ``row_mean``/``row_std`` record the per-row standardization applied
+    before clustering (zeros/ones when standardization was off).
     """
 
     h: int
     centroids: np.ndarray
-    sizes: np.ndarray
     row_mean: np.ndarray
     row_std: np.ndarray
 
     def __post_init__(self) -> None:
         centroids = np.array(self.centroids, dtype=float)
-        sizes = np.array(self.sizes, dtype=np.int64)
         row_mean = np.array(self.row_mean, dtype=float)
         row_std = np.array(self.row_std, dtype=float)
         if self.h < 1:
             raise ValueError("need h >= 1")
         if centroids.shape != (self.h, row_mean.shape[0]):
             raise ValueError("centroids must be h x d")
-        if sizes.shape != (self.h,) or sizes.min() < 1:
-            raise ValueError("every cluster id must own at least one column")
-        for arr in (centroids, sizes, row_mean, row_std):
+        for arr in (centroids, row_mean, row_std):
             arr.flags.writeable = False
         object.__setattr__(self, "centroids", centroids)
-        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "row_mean", row_mean)
         object.__setattr__(self, "row_std", row_std)
 
@@ -338,18 +333,11 @@ def cut_columns(tree: ColumnTree, h: int) -> tuple[ColumnClustering, np.ndarray]
     labels = remap[raw_labels]
 
     centroids = np.zeros((h, d))
-    sizes = np.zeros(h, dtype=np.int64)
     for cid in range(h):
-        members = labels == cid
-        sizes[cid] = int(members.sum())
-        centroids[cid] = matrix[:, members].mean(axis=1)
+        centroids[cid] = matrix[:, labels == cid].mean(axis=1)
 
     clustering = ColumnClustering(
-        h=h,
-        centroids=centroids,
-        sizes=sizes,
-        row_mean=tree.row_mean,
-        row_std=tree.row_std,
+        h=h, centroids=centroids, row_mean=tree.row_mean, row_std=tree.row_std
     )
     return clustering, labels
 

@@ -28,16 +28,10 @@ def _fmt(values) -> str:
 
 @dataclass(frozen=True, eq=False)
 class LocalCode:
-    """A frozen cluster code book plus where it came from.
-
-    ``window`` is the source-sample range ``[start, stop)`` whose columns
-    were fitted (per sensor when several were stacked).
-    """
+    """A frozen cluster code book and the sensors whose columns it codes."""
 
     clustering: ColumnClustering
     source_sensors: tuple[str, ...]
-    window: tuple[int, int]
-    subsampled: bool = False
 
     def __post_init__(self) -> None:
         if not self.source_sensors:
@@ -45,10 +39,6 @@ class LocalCode:
         object.__setattr__(
             self, "source_sensors", tuple(str(s) for s in self.source_sensors)
         )
-        start, stop = (int(v) for v in self.window)
-        if not 0 <= start < stop:
-            raise ValueError(f"window [{start}, {stop}) is empty or negative")
-        object.__setattr__(self, "window", (start, stop))
 
     @property
     def h(self) -> int:
@@ -116,12 +106,7 @@ def fit_local_code(
         )
     stride = fit_stride(stacked.shape[1], max_fit_columns)
     clustering, _ = cluster_columns(stacked[:, ::stride], h)
-    return LocalCode(
-        clustering=clustering,
-        source_sensors=tuple(source_sensors),
-        window=(0, stacked.shape[1] // n_blocks),
-        subsampled=stride > 1,
-    )
+    return LocalCode(clustering=clustering, source_sensors=tuple(source_sensors))
 
 
 def encode_subsystem(code: LocalCode, frame: TimeSeriesFrame) -> SymbolSequence:
@@ -181,10 +166,10 @@ def couple(
 
 
 # ---------------------------------------------------------------------------
-# persistence: the code book file holds what encoding reads, plus its origin
+# persistence: the code book file holds what encoding reads
 # ---------------------------------------------------------------------------
 
-_MAGIC = "gaitpass-codebook v2"
+_MAGIC = "gaitpass-codebook v3"
 
 
 def local_code_to_text(code: LocalCode) -> str:
@@ -192,14 +177,10 @@ def local_code_to_text(code: LocalCode) -> str:
     lines = [
         _MAGIC,
         "sensors " + " ".join(code.source_sensors),
-        f"window {code.window[0]} {code.window[1]}",
-        f"subsampled {int(code.subsampled)}",
-        "linkage ward",
         f"h {clustering.h}",
         f"dims {clustering.n_dims}",
         "row_mean " + _fmt(clustering.row_mean),
         "row_std " + _fmt(clustering.row_std),
-        "sizes " + " ".join(str(int(s)) for s in clustering.sizes),
         "centroids",
     ]
     lines.extend(_fmt(row) for row in clustering.centroids)
@@ -209,28 +190,14 @@ def local_code_to_text(code: LocalCode) -> str:
 def local_code_from_text(text: str) -> LocalCode:
     lines = LineReader(text, _MAGIC)
     sensors = tuple(lines.fields("sensors"))
-    window = tuple(lines.values("window", int, 2))
-    subsampled = bool(lines.value("subsampled", int))
-    if lines.value("linkage", str) != "ward":
-        raise lines.error("expected 'linkage ward'")
     h = lines.value("h", int)
     d = lines.value("dims", int)
     row_mean = lines.values("row_mean", float, d)
     row_std = lines.values("row_std", float, d)
-    sizes = lines.values("sizes", int, h)
     lines.fields("centroids", 0)
     centroids = lines.rows(h, d)
     lines.finish()
     clustering = ColumnClustering(
-        h=h,
-        centroids=centroids,
-        sizes=sizes,
-        row_mean=row_mean,
-        row_std=row_std,
+        h=h, centroids=centroids, row_mean=row_mean, row_std=row_std
     )
-    return LocalCode(
-        clustering=clustering,
-        source_sensors=sensors,
-        window=window,
-        subsampled=subsampled,
-    )
+    return LocalCode(clustering=clustering, source_sensors=sensors)

@@ -10,7 +10,7 @@ subject's segments from everyone else's.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
 
@@ -269,9 +269,7 @@ class KeyPssModel:
     key_sets: dict[str, tuple[int, ...]]
     thresholds: dict[str, float]
     centroids: dict[str, np.ndarray]
-    margins: dict[str, float]
     segment_length: int
-    training_accuracy: float
 
     @property
     def n_states(self) -> int:
@@ -310,13 +308,16 @@ def _greedy_keys(
     return tuple(chosen), threshold, margin
 
 
-def train_key_pss(sigma: ProportionMatrix) -> KeyPssModel:
+def train_key_pss(
+    sigma: ProportionMatrix,
+) -> tuple[KeyPssModel, dict[str, float]]:
     """Learn one key-state set per subject from a training matrix.
 
     For each subject, states are added greedily to maximize the separation
     between the subject's lowest summed occupancy and every other row's
     highest; the firing threshold is the midpoint of that gap.  Needs at
-    least two subjects with at least two segments each.
+    least two subjects with at least two segments each.  Returns the model
+    and each subject's final training margin.
     """
     counts = Counter(sigma.subjects)
     if len(counts) < 2:
@@ -345,12 +346,9 @@ def train_key_pss(sigma: ProportionMatrix) -> KeyPssModel:
         key_sets=key_sets,
         thresholds=thresholds,
         centroids=centroids,
-        margins=margins,
         segment_length=sigma.segment_length,
-        training_accuracy=0.0,
     )
-    accuracy = classify_matrix(model, sigma).accuracy(sigma.subjects)
-    return replace(model, training_accuracy=accuracy)
+    return model, margins
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,14 +442,13 @@ def sigma_to_tsv(sigma: ProportionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MODEL_MAGIC = "gaitpass-keypss v1"
+_MODEL_MAGIC = "gaitpass-keypss v2"
 
 
 def model_to_text(model: KeyPssModel) -> str:
     lines = [
         _MODEL_MAGIC,
         f"segment_length {model.segment_length}",
-        f"training_accuracy {repr(float(model.training_accuracy))}",
         f"states {model.n_states} {model.pss.shape[1]}",
     ]
     for row in model.pss:
@@ -462,7 +459,6 @@ def model_to_text(model: KeyPssModel) -> str:
         lines.append(f"subject {subject}")
         lines.append(f"keys {keys}")
         lines.append(f"threshold {repr(model.thresholds[subject])}")
-        lines.append(f"margin {repr(model.margins[subject])}")
         lines.append(
             "centroid " + " ".join(repr(float(v)) for v in model.centroids[subject])
         )
@@ -472,7 +468,6 @@ def model_to_text(model: KeyPssModel) -> str:
 def model_from_text(text: str) -> KeyPssModel:
     lines = LineReader(text, _MODEL_MAGIC)
     segment_length = lines.value("segment_length", int)
-    accuracy = lines.value("training_accuracy")
     n_states, d = lines.values("states", int, 2)
     rows = []
     for _ in range(n_states):
@@ -484,17 +479,17 @@ def model_from_text(text: str) -> KeyPssModel:
     subjects: list[str] = []
     key_sets: dict[str, tuple[int, ...]] = {}
     thresholds: dict[str, float] = {}
-    margins: dict[str, float] = {}
     centroids: dict[str, np.ndarray] = {}
     for _ in range(lines.value("subjects", int)):
         subject = lines.rest("subject")
+        if subject in subjects:
+            raise lines.error(f"subject {subject!r} named twice")
         subjects.append(subject)
         keys = lines.values("keys", int)
         if not keys or len(set(keys).intersection(range(n_states))) < len(keys):
             raise lines.error(f"keys {keys} must be distinct indices below {n_states}")
         key_sets[subject] = tuple(keys)
         thresholds[subject] = lines.value("threshold")
-        margins[subject] = lines.value("margin")
         centroids[subject] = np.array(lines.values("centroid", float, n_states))
     lines.finish()
     return KeyPssModel(
@@ -503,9 +498,7 @@ def model_from_text(text: str) -> KeyPssModel:
         key_sets=key_sets,
         thresholds=thresholds,
         centroids=centroids,
-        margins=margins,
         segment_length=segment_length,
-        training_accuracy=accuracy,
     )
 
 

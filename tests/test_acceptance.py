@@ -130,9 +130,10 @@ def _pssa_accuracy(seqs_by_subject, n_states, segment_length):
     pss = select_pss(table, n_states=n_states)
     sigma = build_proportion_matrix(seqs_by_subject, pss, segment_length)
     train, test = split_alternating(sigma)
-    model = train_key_pss(train)
-    return model.training_accuracy, classify_matrix(model, test).accuracy(
-        test.subjects
+    model, _ = train_key_pss(train)
+    return (
+        classify_matrix(model, train).accuracy(train.subjects),
+        classify_matrix(model, test).accuracy(test.subjects),
     )
 
 

@@ -473,9 +473,32 @@ def test_loose_value_exit_2(command, text, assignment, named, tmp_path, capsys):
 # listed twice was folded into one), a cycle range no walk holds (exit 4
 # once, as if the algorithm failed), and a subject count the command cannot
 # use (the first missing file exited 3).  The range past the walk's 10
-# cycles is refused once they are found, still before any output.
+# cycles is refused once they are found, still before any output.  A
+# persisted coding and model that do not fit the configured sensors are
+# refused once read, before any frame (a coding of 2 sensors under a
+# 3-sensor config exited 4 after every walker was synthesized, naming no
+# key).
 TWO_MAREA = MAREA + "    walkerB: other.txt\n"
 COVERAGE = "pssa:\n  coverage: 0.95\n"
+
+
+def no_frames(dataset):
+    raise AssertionError("a mismatch of persisted files reached the frames")
+
+
+def classify_persisted(narrow_coding):
+    """pssa-classify config over the persisted two-sensor model and coding;
+    with ``narrow_coding`` the coding keeps only sensor S0's channels."""
+    def text(files, tmp_path):
+        coding = files["coding.txt"]
+        if narrow_coding:
+            lines = coding.read_text().splitlines()
+            coding = tmp_path / "coding.txt"
+            coding.write_text("\n".join(lines[:3] + ["channels 3"] + lines[4:7]))
+        return PAIR + f"  model: {files['model.txt']}\n  coding: {coding}\n"
+    return text
+
+
 REFUSED_BEFORE_FIT = {
     "extra_names_left": (
         "cycles", WALK, ["cycles.extra=[S0]"],
@@ -524,6 +547,14 @@ REFUSED_BEFORE_FIT = {
         "pssa-train", TWO_MAREA + COVERAGE, ["pssa.segment_length=0"],
         "pssa.segment_length: 0",
     ),
+    "classify_coding_sensors": (
+        "pssa-classify", classify_persisted(False), ["dataset.sensors=3"],
+        "pssa.coding: ",
+    ),
+    "classify_model_width": (
+        "pssa-classify", classify_persisted(True), ["dataset.sensors=1"],
+        "pssa.model: ",
+    ),
 }
 
 
@@ -531,7 +562,12 @@ REFUSED_BEFORE_FIT = {
     "command, text, overrides, named", REFUSED_BEFORE_FIT.values(),
     ids=list(REFUSED_BEFORE_FIT),
 )
-def test_refused_before_fit_exit_2(command, text, overrides, named, tmp_path, capsys):
+def test_refused_before_fit_exit_2(
+    command, text, overrides, named, request, monkeypatch, tmp_path, capsys
+):
+    if callable(text):  # reads persisted files, and then no frame
+        text = text(request.getfixturevalue("persisted_files"), tmp_path)
+        monkeypatch.setattr(cli, "_load_frames", no_frames)
     out = tmp_path / "out"
     argv = [command, "-c", config_file(tmp_path, text), "-o", str(out)]
     for assignment in overrides:
@@ -786,6 +822,25 @@ def first_keys(rest):
     return lambda text: replaced_line(text, "keys", rest)[0]
 
 
+def subject_twice(text):
+    """Damage: the model's second subject renamed to its first."""
+    return text.replace("subject bob\n", "subject ann\n")
+
+
+def old_version(text):
+    """Damage: the model as version 1 wrote it, with a training accuracy
+    and a margin per subject."""
+    lines = []
+    for line in text.splitlines():
+        lines.append(line)
+        if line.startswith("segment_length "):
+            lines.append("training_accuracy 1.0")
+        elif line.startswith("threshold "):
+            lines.append("margin 0.25")
+    lines[0] = "gaitpass-keypss v1"
+    return "\n".join(lines) + "\n"
+
+
 DAMAGES = {"missing": None, "header_cut": header_cut, "garbled": garbled}
 BAD_INPUTS = {
     f"{key}-{name}": (key, damage)
@@ -800,6 +855,8 @@ BAD_INPUTS.update({
         ("repeated", "0 0"),
     )
 })
+BAD_INPUTS["pssa.model-subject_twice"] = ("pssa.model", subject_twice)
+BAD_INPUTS["pssa.model-old_version"] = ("pssa.model", old_version)
 
 
 @pytest.mark.parametrize("key, damage", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
@@ -884,16 +941,21 @@ def test_passtensor_landmark_outside_rings_exit_3(
     assert f"{bad}: landmark" in message
 
 
-def test_model_key_set_error_names_line(persisted_files, tmp_path, capsys):
+# Each damage, with the line of the intact model its error names.
+@pytest.mark.parametrize("damage, at, named", [
+    (first_keys("0 0"), "keys ", "keys [0, 0]"),
+    (subject_twice, "subject bob", "subject 'ann' named twice"),
+    (old_version, "gaitpass-keypss", "not a 'gaitpass-keypss v2' file"),
+], ids=["keys_repeated", "subject_twice", "old_version"])
+def test_model_error_names_line(damage, at, named, persisted_files, tmp_path, capsys):
+    text = persisted_files["model.txt"].read_text()
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(at))
     bad = tmp_path / "model.txt"
-    text, line = replaced_line(
-        persisted_files["model.txt"].read_text(), "keys", "0 0"
-    )
-    bad.write_text(text)
+    bad.write_text(damage(text))
     message = data_error_of_reading(
         "pssa.model", bad, persisted_files, tmp_path, capsys
     )
-    assert f"{bad}: line {line}: keys [0, 0]" in message
+    assert f"{bad}: line {line}: {named}" in message
 
 
 # Segment lengths that leave the PAIR subjects (641 and 643 samples) fewer

@@ -94,10 +94,12 @@ def test_render_artifact_bytes_match_recorded_digest(run, artifact, render_runs)
 
 # The identification path: pssa-train, then pssa-classify, over three
 # headerless 12-column MAREA text files written from synthetic walkers.
+# Every model.txt digest here and below was recorded in the keypss v2
+# format, and every codebook_*.txt digest in the codebook v3 format.
 IDENTIFY_GOLDEN = {
     "model.txt": (
         "train",
-        "da9210e006ed18ca53cf0f5414caad0d324d92d672c472c21364c60628634ff0",
+        "b11d6b63a88eb09b5a08be7be17aeb1022217b77aaa2abf1e33ccbc036f3aec6",
     ),
     "sigma_train.tsv": (
         "train",
@@ -185,7 +187,7 @@ IDENTIFY_MORE_GOLDEN = {
     ("coverage", "train", "sigma_heatmap.svg"):
         "f142c23cd131fdb29abbd6462f2e038a4bbf54074f88885cba148ea6c050e207",
     ("fallback", "train", "model.txt"):
-        "56573fb00696ac8c5162b056b7a94ed3fbc0eb0ca527abd8c0ad84e1f0dd9635",
+        "ae4d30574a243cc54744db06a2538af63dfe226603b288343f9313e22b2b3393",
     ("fallback", "classify", "classifications.tsv"):
         "0825c6890e816fffd0df7e7a25706b467eb4660abfea7f01f3aa19390e80e090",
     ("fallback", "train", "report.json"):
@@ -194,7 +196,7 @@ IDENTIFY_MORE_GOLDEN = {
         "cf7f47f2c698a1a187973a7a1fdba1502751403a10cb84425bbdaeaaefe615e8",
     # recorded after key sets stopped growing once every state was in them
     ("exhausted", "train", "model.txt"):
-        "415500f0eda7a8fb1787c14155e83315b6c0d2bc4a696cf8ce2921b0dadc2076",
+        "0d81c2df7eb9b1025f08c42f9bbe7a15a5e3eaf667c28678579affc5334f70de",
     ("exhausted", "classify", "classifications.tsv"):
         "be503942cb9845625e9e256ea420b1db43564fa891275840707d3a003c01896f",
     ("exhausted", "train", "report.json"):
@@ -267,7 +269,7 @@ TIED_GOLDEN = {
     "cycles.tsv":
         "f77ccdaa169c6fff6fb95a596fc9174589b72695a69008b11c30c15274165da6",
     "codebook_feet.txt":
-        "b85a2d86d878b234a977647baff340a983ff0b93fc0a66f99e32fc76e049abb5",
+        "8ae942889fcac2b6b0eb8a7dab905c489976e1186e4d8891faf61c7ca92f574e",
 }
 
 
@@ -315,7 +317,7 @@ F_ORDERED_GOLDEN = {
     "passtensor.txt":
         "be40bc6de5121293f7d4807e81d6d43cd87457cabb795fccfb01ff7d4236ef7c",
     "codebook_feet.txt":
-        "32565d962c4b269227dcde8f757c2c585c5316cf0653b260ff741709021773eb",
+        "bc119daabfb894f9a2775f369e93bcbb47978f71842cfc6774b17cb74acc4ea4",
 }
 
 

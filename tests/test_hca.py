@@ -119,7 +119,7 @@ class TestClusterColumns:
         )
         clustering, labels = cluster_columns(matrix, 3)
         assert labels.tolist() == [1] * 4 + [0] * 9 + [2] * 2
-        assert clustering.sizes.tolist() == [9, 4, 2]
+        assert np.bincount(labels).tolist() == [9, 4, 2]
 
     def test_label_tie_breaks_on_first_appearance(self):
         rng = np.random.default_rng(25)
@@ -136,7 +136,7 @@ class TestClusterColumns:
     def test_single_column(self):
         clustering, labels = cluster_columns(np.array([[3.0]]), 1)
         assert labels.tolist() == [0]
-        assert clustering.sizes.tolist() == [1]
+        assert clustering.centroids.tolist() == [[3.0]]
 
     def test_h_equals_n(self):
         rng = np.random.default_rng(26)
@@ -156,8 +156,8 @@ class TestClusterColumns:
         # No column count is refused: 65,537 equal columns make one start
         # cluster, so linking them allocates nothing quadratic.
         tree = link_columns(np.zeros((1, 65537)))
-        assert cut_columns(tree, 1)[0].sizes.tolist() == [65537]
-        assert cut_columns(tree, 2)[0].sizes.tolist() == [65536, 1]
+        assert np.bincount(cut_columns(tree, 1)[1]).tolist() == [65537]
+        assert np.bincount(cut_columns(tree, 2)[1]).tolist() == [65536, 1]
 
 
 def cut_matrices():
@@ -205,7 +205,7 @@ class TestCutColumns:
             cut, labels = cut_columns(tree, h)
             fit, fit_labels = cluster_columns(matrix, h)
             assert np.array_equal(labels, fit_labels)
-            for field in ("centroids", "sizes", "row_mean", "row_std"):
+            for field in ("centroids", "row_mean", "row_std"):
                 assert np.array_equal(getattr(cut, field), getattr(fit, field))
             assert cut.h == fit.h
 
@@ -263,7 +263,6 @@ class TestAssignNearest:
         clustering = ColumnClustering(
             h=2,
             centroids=np.array([[-1.0], [1.0]]),
-            sizes=np.array([2, 2]),
             row_mean=np.zeros(1),
             row_std=np.ones(1),
         )
@@ -309,8 +308,7 @@ def code_book_and_columns(rng, h, d, m, kind):
             pairs = rng.integers(0, h, (2, m))
             columns = (centroids[pairs[0]] + centroids[pairs[1]]).T / 2.0
     clustering = ColumnClustering(
-        h=h, centroids=centroids, sizes=np.ones(h, dtype=np.int64),
-        row_mean=row_mean, row_std=row_std,
+        h=h, centroids=centroids, row_mean=row_mean, row_std=row_std,
     )
     return clustering, columns
 
@@ -354,7 +352,7 @@ class TestAssignInBlocks:
         # Centroid 2 repeats centroid 1, and 0.0 is as far from -1 as from 1.
         clustering = ColumnClustering(
             h=3, centroids=np.array([[-1.0], [1.0], [1.0]]),
-            sizes=np.array([1, 1, 1]), row_mean=np.zeros(1), row_std=np.ones(1),
+            row_mean=np.zeros(1), row_std=np.ones(1),
         )
         for m in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2):
             columns = np.tile([0.0, 1.0, 2.0], m)[None, :m]

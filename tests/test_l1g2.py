@@ -92,8 +92,6 @@ class TestFitLocalCode:
                               source_sensors=("L", "R"))
         assert code.h == 6
         assert code.source_sensors == ("L", "R")
-        assert code.window == (0, 40)
-        assert not code.subsampled
         assert len(code.code_book_id) == 16
 
     def test_column_count_must_split_evenly(self):
@@ -107,9 +105,13 @@ class TestFitLocalCode:
         stacked = rng.standard_normal((3, 64))
         code = fit_local_code(stacked, h=4, source_sensors=("L", "R"),
                               max_fit_columns=20)
-        assert code.subsampled
         # every fourth column fitted: ceil(64 / 20) = 4
-        assert code.clustering.sizes.sum() == 16
+        strided = fit_local_code(stacked[:, ::4], h=4, source_sensors=("L", "R"))
+        assert np.array_equal(code.clustering.centroids,
+                              strided.clustering.centroids)
+        assert code.code_book_id == strided.code_book_id
+        whole = fit_local_code(stacked, h=4, source_sensors=("L", "R"))
+        assert code.code_book_id != whole.code_book_id
 
     def test_code_book_id_tracks_content(self):
         rng = np.random.default_rng(56)
@@ -207,8 +209,6 @@ class TestPersistence:
         text = local_code_to_text(code)
         back = local_code_from_text(text)
         assert back.source_sensors == code.source_sensors
-        assert back.window == code.window
-        assert back.subsampled == code.subsampled
         assert back.code_book_id == code.code_book_id
         assert local_code_to_text(back) == text
         assert np.array_equal(
@@ -228,14 +228,18 @@ class TestPersistence:
         )
 
     def test_bad_magic(self):
-        with pytest.raises(DataError, match="gaitpass-codebook v2"):
-            local_code_from_text("gaitpass-codebook v1\n")
-
-    def test_only_ward_code_books_read(self):
         rng = np.random.default_rng(61)
         text = local_code_to_text(
             fit_local_code(rng.standard_normal((3, 12)), h=3)
         )
-        assert "\nlinkage ward\n" in text
-        with pytest.raises(DataError, match="line 5: expected 'linkage ward'"):
-            local_code_from_text(text.replace("linkage ward", "linkage average"))
+        lines = text.splitlines()
+        assert lines[0] == "gaitpass-codebook v3"
+        # the same code book as version 2 wrote it
+        old = "\n".join(
+            ["gaitpass-codebook v2", lines[1], "window 0 6", "subsampled 0",
+             "linkage ward", *lines[2:6], "sizes 8 3 1", *lines[6:]]
+        ) + "\n"
+        with pytest.raises(
+            DataError, match="line 1: not a 'gaitpass-codebook v3' file"
+        ):
+            local_code_from_text(old)

@@ -256,31 +256,32 @@ class TestProportionMatrix:
 
 class TestTrainAndClassify:
     def test_hand_worked_model(self):
-        model = train_key_pss(two_subject_sigma())
+        sigma = two_subject_sigma()
+        model, margins = train_key_pss(sigma)
         assert model.subjects == ("A", "B")
         assert model.key_sets == {"A": (0,), "B": (1,)}
         assert model.thresholds["A"] == pytest.approx((0.7 + 0.2) / 2)
         assert model.thresholds["B"] == pytest.approx((0.6 + 0.2) / 2)
-        assert model.margins["A"] == pytest.approx(0.5)
-        assert model.margins["B"] == pytest.approx(0.4)
-        assert model.training_accuracy == 1.0
+        assert margins["A"] == pytest.approx(0.5)
+        assert margins["B"] == pytest.approx(0.4)
+        assert classify_matrix(model, sigma).accuracy(sigma.subjects) == 1.0
         assert np.allclose(model.centroids["A"], [0.75, 0.15])
 
     def test_classify_firing_rule(self):
-        model = train_key_pss(two_subject_sigma())
+        model, _ = train_key_pss(two_subject_sigma())
         result = classify_matrix(model, one_row([0.75, 0.15]))
         assert result.predicted == ("A",)
         assert not result.fallback[0]
         assert result.score[0] > 0
 
     def test_classify_fallback_to_nearest_centroid(self):
-        model = train_key_pss(two_subject_sigma())
+        model, _ = train_key_pss(two_subject_sigma())
         result = classify_matrix(model, one_row([0.35, 0.3]))
         assert result.fallback[0]
         assert result.predicted == ("A",)
 
     def test_classify_row_length_checked(self):
-        model = train_key_pss(two_subject_sigma())
+        model, _ = train_key_pss(two_subject_sigma())
         with pytest.raises(ValueError, match="states"):
             classify_matrix(model, one_row([0.5, 0.5, 0.0]))
 
@@ -319,8 +320,8 @@ class TestTrainAndClassify:
         pss = select_pss(table, n_states=4)
         sigma = build_proportion_matrix(seqs, pss, 50)
         train, test = split_alternating(sigma)
-        model = train_key_pss(train)
-        assert model.training_accuracy == 1.0
+        model, _ = train_key_pss(train)
+        assert classify_matrix(model, train).accuracy(train.subjects) == 1.0
         tested = classify_matrix(model, test)
         assert tested.accuracy(test.subjects) == 1.0
         assert not tested.fallback.any()
@@ -361,7 +362,7 @@ def test_classify_matrix_matches_row_by_row_oracle(
         quantized_rows(rng, 10, n_states),
     ])
     if model_kind == "trained":
-        model = train_key_pss(train)
+        model, _ = train_key_pss(train)
     else:
         labels = np.array(train.subjects)
         centroids = {
@@ -386,9 +387,7 @@ def test_classify_matrix_matches_row_by_row_oracle(
             },
             thresholds=thresholds,
             centroids=centroids,
-            margins=dict.fromkeys(subjects, 0.0),
             segment_length=100,
-            training_accuracy=0.0,
         )
     sigma = ProportionMatrix(
         proportions=rows,
@@ -445,15 +444,13 @@ class TestSigmaArtifacts:
         assert float(parsed[2]) == sigma.proportions[0, 0]
 
     def test_model_text_roundtrip(self):
-        model = train_key_pss(two_subject_sigma())
+        model, _ = train_key_pss(two_subject_sigma())
         text = model_to_text(model)
         back = model_from_text(text)
         assert back.subjects == model.subjects
         assert back.key_sets == model.key_sets
         assert back.thresholds == model.thresholds
-        assert back.margins == model.margins
         assert back.segment_length == model.segment_length
-        assert back.training_accuracy == model.training_accuracy
         assert np.array_equal(back.pss, model.pss)
         for s in model.subjects:
             assert np.array_equal(back.centroids[s], model.centroids[s])
