@@ -3,7 +3,8 @@
 Every subcommand reads one YAML config (plus ``--set`` overrides), writes
 its artifacts into an output directory, and finishes with a manifest
 recording the config hash, input hashes, artifact hashes and library
-versions, so a run can be reproduced and verified byte for byte.
+versions, so a run can be reproduced and verified byte for byte.  Each
+file is read once, and its hash is of the bytes that were parsed.
 
 Exit codes: 0 success, 2 config error (an unwritable output directory
 included), 3 data error (a missing, truncated or malformed input file
@@ -28,13 +29,7 @@ import scipy
 
 from . import __version__
 from .complexity import SymbolSequence, couple_naive, lz76_complexity
-from .config import (
-    RunConfig,
-    checked_float,
-    checked_int,
-    file_sha256,
-    load_config,
-)
+from .config import RunConfig, checked_float, checked_int, load_config
 from .errors import ConfigError, DataError, GaitError
 from .hca import cut_columns, link_columns
 from .ingest import (
@@ -45,6 +40,7 @@ from .ingest import (
     load_hugadb,
     load_marea,
     marker_length,
+    parse_file,
     read_file,
     synthesize_walker,
 )
@@ -66,7 +62,7 @@ from .passtensor import (
     SKELETON_WEIGHT,
     build_passtensor,
     compare_passtensors,
-    load_passtensor,
+    passtensor_from_text,
     passtensor_to_text,
     render_cylinder,
     render_rings,
@@ -78,7 +74,7 @@ from .pssa import (
     classify_matrix,
     cluster_sigma,
     coverage_curve,
-    load_model,
+    model_from_text,
     model_to_text,
     select_pss,
     sigma_to_tsv,
@@ -87,10 +83,10 @@ from .pssa import (
 )
 from .svgfig import DEFAULT_PALETTE, render_heatmap, render_line_chart
 from .symbolic import (
+    coding_from_text,
     coding_to_text,
     encode_ternary,
     fit_ternary,
-    load_coding,
     resultant_acceleration,
 )
 
@@ -102,9 +98,8 @@ def _load_file(
     kind: str, path: str, sensors: tuple[str, ...]
 ) -> tuple[TimeSeriesFrame, str]:
     """One dataset file's frame and the sha256 of the bytes it was parsed
-    from, so the manifest need not read the file again."""
-    text, raw = read_file(path)
-    digest = hashlib.sha256(raw).hexdigest()
+    from."""
+    text, digest = read_file(path)
     if kind == "marea":
         return load_marea(path, sensors, text=text), digest
     return load_hugadb(path, text=text), digest
@@ -281,9 +276,15 @@ def _json_report(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 # What each subcommand returns: its artifacts (name -> text) and the files it
-# read (path -> sha256).  A file read without hashing maps to None, and the
-# manifest hashes it.
-Outputs = tuple[dict[str, str], dict[str, str | None]]
+# read (path -> sha256 of the bytes it parsed).
+Outputs = tuple[dict[str, str], dict[str, str]]
+
+
+def _read(path: str, parse, inputs: dict[str, str]):
+    """``parse`` of the file at ``path``, read once; its sha256 goes into
+    ``inputs``."""
+    text, inputs[path] = read_file(path)
+    return parse_file(path, parse, text)
 
 
 def cmd_complexity(config: RunConfig) -> Outputs:
@@ -547,8 +548,9 @@ def cmd_pssa_classify(config: RunConfig) -> Outputs:
     """Attribute segments of new recordings under a trained model."""
     dataset = _dataset(config)
     model_path, coding_path = config["pssa.model"], config["pssa.coding"]
-    model = load_model(model_path)
-    coding = load_coding(coding_path)
+    inputs = {}
+    model = _read(model_path, model_from_text, inputs)
+    coding = _read(coding_path, coding_from_text, inputs)
     channels = [f"{sensor}_{axis}" for sensor in dataset.sensors for axis in AXES]
     coded = [f"{sensor}_{axis}" for sensor, axis in coding.channels]
     if coded != channels:
@@ -561,8 +563,8 @@ def cmd_pssa_classify(config: RunConfig) -> Outputs:
             f"pssa.model: {model_path} holds {model.pss.shape[1]}-digit states, "
             f"but pssa.coding {coding_path} codes {coding.n_dims} channels"
         )
-    frames, inputs = _load_frames(dataset)
-    inputs = inputs | dict.fromkeys([model_path, coding_path])
+    frames, loaded = _load_frames(dataset)
+    inputs |= loaded
     for name, frame in frames.items():
         if frame.n_samples < model.segment_length:
             raise DataError(
@@ -596,9 +598,9 @@ def cmd_pssa_classify(config: RunConfig) -> Outputs:
 
 def cmd_passtensor_compare(config: RunConfig) -> Outputs:
     """Skeleton/stochastic comparison of two persisted passtensors."""
-    paths = config["passtensor.compare"]
-    a = load_passtensor(paths[0])
-    b = load_passtensor(paths[1])
+    inputs = {}
+    a, b = (_read(path, passtensor_from_text, inputs)
+            for path in config["passtensor.compare"])
     diff = compare_passtensors(a, b)
     report = {
         "a": {"cycles": a.n_cycles, "rings": a.n_rings, "bins": a.n_bins},
@@ -622,14 +624,15 @@ def cmd_passtensor_compare(config: RunConfig) -> Outputs:
             "mean": float(diff.cycle_agreement_b.mean()),
         },
     }
-    return {"diff_report.json": _json_report(report)}, dict.fromkeys(map(str, paths))
+    return {"diff_report.json": _json_report(report)}, inputs
 
 
 def cmd_render(config: RunConfig) -> Outputs:
     """Ring and cylinder views of a persisted passtensor."""
     path, view = config["render.passtensor"], config["render.view"]
     ring_cycle = config["render.ring_cycle"]
-    pt = load_passtensor(path)
+    inputs = {}
+    pt = _read(path, passtensor_from_text, inputs)
     if ring_cycle is None:
         grid = skeleton(pt)
     elif ring_cycle < pt.n_cycles:
@@ -649,7 +652,7 @@ def cmd_render(config: RunConfig) -> Outputs:
         artifacts["cylinder_unrolled.svg"] = render_cylinder(pt, view="unrolled")
     if view in ("isometric", "both"):
         artifacts["cylinder_isometric.svg"] = render_cylinder(pt, view="isometric")
-    return artifacts, {path: None}
+    return artifacts, inputs
 
 
 COMMANDS = {
@@ -673,7 +676,7 @@ def _write_run(
     config: RunConfig,
     overrides: list[str],
     artifacts: dict[str, str],
-    inputs: dict[str, str | None],
+    inputs: dict[str, str],
 ) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     hashes = {}
@@ -689,14 +692,12 @@ def _write_run(
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "config_sha256": file_sha256(config.source) if config.source else None,
+        "config_sha256": config.sha256,
         "overrides": sorted(
             o for o in overrides if not o.startswith("output_dir=")
         ),
         "parameters": config.manifest_parameters(),
-        "inputs": {
-            path: digest or file_sha256(path) for path, digest in inputs.items()
-        },
+        "inputs": inputs,
         "artifacts": hashes,
     }
     (outdir / "manifest.json").write_text(

@@ -8,14 +8,14 @@ the output directory) is embedded verbatim in every run manifest.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .ingest import read_file
 from .passtensor import MIN_BINS
 
 REQUIRED = object()  # the default of a key a command cannot run without
@@ -79,9 +79,12 @@ _NOUNS = {str: "a string", list: "a list", dict: "a mapping",
 
 
 class RunConfig:
-    """A config mapping, checked against ``KEYS`` when it is made."""
+    """A config mapping, checked against ``KEYS`` when it is made.
 
-    def __init__(self, data: dict, source: Path | None = None):
+    ``sha256`` is the hash of the file the mapping was parsed from.
+    """
+
+    def __init__(self, data: dict, sha256: str | None = None):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
         sections = list(dict.fromkeys(path.split(".")[0] for path in KEYS))
@@ -103,7 +106,7 @@ class RunConfig:
                 if value is not None:
                     self._values[path] = _checked(path, KEYS[path], value)
         self.data = data
-        self.source = source
+        self.sha256 = sha256
 
     def __getitem__(self, path: str):
         """The checked value of ``path``, or its default when it is unset."""
@@ -197,11 +200,11 @@ def _apply_override(data: dict, assignment: str) -> None:
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
-    path = Path(path)
     try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        text, sha256 = read_file(path)
+    except DataError as exc:  # a config error (exit 2), named by its cause
+        cause = exc.__cause__
+        raise ConfigError(f"cannot read config {path}: {cause}") from cause
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -212,8 +215,4 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         raise ConfigError(f"{path}: config root must be a mapping")
     for assignment in overrides or []:
         _apply_override(data, assignment)
-    return RunConfig(data, source=path)
-
-
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return RunConfig(data, sha256)

@@ -13,6 +13,7 @@ walked line by line only to name the failing line and column.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -103,8 +104,9 @@ class TimeSeriesFrame:
 # text files: one loader and one line cursor shared by every reader
 # ---------------------------------------------------------------------------
 
-def read_file(path: str | Path) -> tuple[str, bytes]:
-    """The text of the file at ``path`` and the bytes it was decoded from.
+def read_file(path: str | Path) -> tuple[str, str]:
+    """The text of the file at ``path`` and the sha256 of the bytes it was
+    decoded from.
 
     The bytes are decoded as ``Path.read_text`` decodes them: in the
     locale's encoding, with universal newlines.  An unreadable or
@@ -113,9 +115,10 @@ def read_file(path: str | Path) -> tuple[str, bytes]:
     path = Path(path)
     try:
         raw = path.read_bytes()
-        return io.TextIOWrapper(io.BytesIO(raw)).read(), raw
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    return text, hashlib.sha256(raw).hexdigest()
 
 
 def parse_file(path: str | Path, parse, text: str | None = None):

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CodeBookMismatchError
-from .ingest import LineReader, parse_file
+from .ingest import LineReader
 from .l1g2 import CoupledStateSequence
 from .landmark import CyclePartition
 from .svgfig import DEFAULT_PALETTE, _f, check_palette, svg_document, text
@@ -447,7 +446,3 @@ def passtensor_from_text(text: str) -> Passtensor:
         landmark_state=landmark_state,
         code_book_id=code_book_id,
     )
-
-
-def load_passtensor(path: str | Path) -> Passtensor:
-    return parse_file(path, passtensor_from_text)

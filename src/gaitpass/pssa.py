@@ -12,11 +12,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from pathlib import Path
 
 import numpy as np
 
-from .ingest import LineReader, parse_file
+from .ingest import LineReader
 from .symbolic import StateVectorSequence
 
 # The most states a subject's key set holds.
@@ -468,7 +467,11 @@ def model_to_text(model: KeyPssModel) -> str:
 def model_from_text(text: str) -> KeyPssModel:
     lines = LineReader(text, _MODEL_MAGIC)
     segment_length = lines.value("segment_length", int)
+    if segment_length < 1:
+        raise lines.error(f"segment_length {segment_length} is below 1")
     n_states, d = lines.values("states", int, 2)
+    if n_states < 1:
+        raise lines.error(f"states {n_states} is below 1")
     rows = []
     for _ in range(n_states):
         label = lines.line()
@@ -480,7 +483,10 @@ def model_from_text(text: str) -> KeyPssModel:
     key_sets: dict[str, tuple[int, ...]] = {}
     thresholds: dict[str, float] = {}
     centroids: dict[str, np.ndarray] = {}
-    for _ in range(lines.value("subjects", int)):
+    n_subjects = lines.value("subjects", int)
+    if n_subjects < 1:
+        raise lines.error(f"subjects {n_subjects} is below 1")
+    for _ in range(n_subjects):
         subject = lines.rest("subject")
         if subject in subjects:
             raise lines.error(f"subject {subject!r} named twice")
@@ -500,7 +506,3 @@ def model_from_text(text: str) -> KeyPssModel:
         centroids=centroids,
         segment_length=segment_length,
     )
-
-
-def load_model(path: str | Path) -> KeyPssModel:
-    return parse_file(path, model_from_text)

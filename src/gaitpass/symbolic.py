@@ -9,12 +9,11 @@ D-channel recording into a sequence of D-digit ternary state vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .ingest import LineReader, TimeSeriesFrame, parse_file
+from .ingest import LineReader, TimeSeriesFrame
 
 
 def resultant_acceleration(frame: TimeSeriesFrame) -> np.ndarray:
@@ -164,7 +163,3 @@ def coding_from_text(text: str) -> TernaryCoding:
         thresholds=np.array(thresholds),
         channels=tuple(channels),
     )
-
-
-def load_coding(path: str | Path) -> TernaryCoding:
-    return parse_file(path, coding_from_text)

@@ -1,6 +1,8 @@
 """End-to-end runs of every subcommand against synthetic recordings."""
 
+import builtins
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import scipy
 
 from gaitpass import cli
 from gaitpass.cli import main
-from gaitpass.config import KEYS, file_sha256
+from gaitpass.config import KEYS
 from gaitpass.ingest import HUGADB_SENSORS, synthesize_walker
 from gaitpass.passtensor import Passtensor, passtensor_to_text
 
@@ -61,6 +63,10 @@ def config_file(tmp_path, text, name="run.yaml"):
     return str(path)
 
 
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text())
 
@@ -77,7 +83,7 @@ class TestCycles:
 
         manifest = read_manifest(out)
         assert manifest["command"] == "cycles"
-        assert manifest["config_sha256"] == file_sha256(cfg)
+        assert manifest["config_sha256"] == sha256_of(cfg)
         assert "output_dir" not in manifest["parameters"]
         for name, digest in manifest["artifacts"].items():
             data = (out / name).read_bytes()
@@ -592,10 +598,7 @@ COMMAND_CONFIGS = {
     "passtensor-compare": "passtensor:\n  compare: [a.txt, b.txt]\n",
     "render": "render:\n  passtensor: a.txt\n",
 }
-DATA_READERS = (
-    "_load_files", "synthesize_walker", "load_model", "load_coding",
-    "load_passtensor", "fit_local_code",
-)
+DATA_READERS = ("_load_files", "synthesize_walker", "_read", "fit_local_code")
 
 
 @pytest.fixture
@@ -817,14 +820,19 @@ READERS = {
 }
 
 
-def first_keys(rest):
-    """Damage: a model's first ``keys`` line holding ``rest`` instead."""
-    return lambda text: replaced_line(text, "keys", rest)[0]
+def model_line(key, rest):
+    """Damage: a model's first ``key`` line holding ``rest`` instead."""
+    return lambda text: replaced_line(text, key, rest)[0]
 
 
 def subject_twice(text):
     """Damage: the model's second subject renamed to its first."""
     return text.replace("subject bob\n", "subject ann\n")
+
+
+def no_subjects(text):
+    """Damage: the model's subjects cut, and their count set to 0."""
+    return text[: text.index("\nsubjects ")] + "\nsubjects 0\n"
 
 
 def old_version(text):
@@ -849,12 +857,23 @@ BAD_INPUTS = {
 }
 # key sets that are empty, repeat a state or leave the principle states
 BAD_INPUTS.update({
-    f"pssa.model-keys_{name}": ("pssa.model", first_keys(rest))
+    f"pssa.model-keys_{name}": ("pssa.model", model_line("keys", rest))
     for name, rest in (
         ("past_states", "99"), ("negative", "-1"), ("empty", ""),
         ("repeated", "0 0"),
     )
 })
+# counts below 1: segment_length and subjects exited 4, naming neither the
+# file nor the line
+BAD_INPUTS.update({
+    f"pssa.model-{name}": ("pssa.model", model_line(key, rest))
+    for name, key, rest in (
+        ("segment_length_zero", "segment_length", "0"),
+        ("segment_length_negative", "segment_length", "-5"),
+        ("states_zero", "states", "0 6"),
+    )
+})
+BAD_INPUTS["pssa.model-subjects_zero"] = ("pssa.model", no_subjects)
 BAD_INPUTS["pssa.model-subject_twice"] = ("pssa.model", subject_twice)
 BAD_INPUTS["pssa.model-old_version"] = ("pssa.model", old_version)
 
@@ -943,10 +962,15 @@ def test_passtensor_landmark_outside_rings_exit_3(
 
 # Each damage, with the line of the intact model its error names.
 @pytest.mark.parametrize("damage, at, named", [
-    (first_keys("0 0"), "keys ", "keys [0, 0]"),
+    (model_line("keys", "0 0"), "keys ", "keys [0, 0]"),
     (subject_twice, "subject bob", "subject 'ann' named twice"),
     (old_version, "gaitpass-keypss", "not a 'gaitpass-keypss v2' file"),
-], ids=["keys_repeated", "subject_twice", "old_version"])
+    (model_line("segment_length", "-5"), "segment_length ",
+     "segment_length -5 is below 1"),
+    (model_line("states", "0 6"), "states ", "states 0 is below 1"),
+    (no_subjects, "subjects ", "subjects 0 is below 1"),
+], ids=["keys_repeated", "subject_twice", "old_version", "segment_length_negative",
+        "states_zero", "subjects_zero"])
 def test_model_error_names_line(damage, at, named, persisted_files, tmp_path, capsys):
     text = persisted_files["model.txt"].read_text()
     line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(at))
@@ -1019,6 +1043,81 @@ def test_classify_recording_shorter_than_a_segment_exit_3(tmp_path, capsys):
         assert named in message["message"]
     assert "pssa.model" in message["message"]
     assert not out.exists()
+
+
+# Commands that read persisted files: the persisted files each one reads
+# (copied under these names) and its config.
+PERSISTED_READS = {
+    "pssa-classify": (
+        {"model.txt": "model.txt", "coding.txt": "coding.txt"},
+        lambda at: PAIR + f"  model: {at('model.txt')}\n  coding: {at('coding.txt')}\n",
+    ),
+    "passtensor-compare": (
+        {"a.txt": "passtensor.txt", "b.txt": "passtensor.txt"},
+        lambda at: f"passtensor:\n  compare: [{at('a.txt')}, {at('b.txt')}]\n",
+    ),
+    "render": (
+        {"pt.txt": "passtensor.txt"},
+        lambda at: f"render:\n  passtensor: {at('pt.txt')}\n",
+    ),
+}
+
+
+def log_opens(monkeypatch):
+    """From now on, record the path of every file opened, in order."""
+    opened = []
+    real_open = io.open
+
+    def logged_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", logged_open)
+    monkeypatch.setattr(builtins, "open", logged_open)
+    return opened
+
+
+@pytest.mark.parametrize("command", list(PERSISTED_READS))
+def test_each_input_read_once_and_hashed_as_read(
+    command, persisted_files, monkeypatch, tmp_path
+):
+    names, config = PERSISTED_READS[command]
+    for name, source in names.items():
+        (tmp_path / name).write_bytes(persisted_files[source].read_bytes())
+    cfg = config_file(tmp_path, config(lambda name: tmp_path / name))
+    files = [str(tmp_path / name) for name in names]
+    out = tmp_path / "out"
+    opened = log_opens(monkeypatch)
+    assert main([command, "-c", cfg, "-o", str(out)]) == 0
+    assert sorted(p for p in opened if p in files + [cfg]) == sorted(files + [cfg])
+    manifest = read_manifest(out)
+    assert manifest["config_sha256"] == sha256_of(cfg)
+    assert manifest["inputs"] == {path: sha256_of(path) for path in files}
+
+
+def test_model_rewritten_after_parse_keeps_parsed_hash(
+    persisted_files, monkeypatch, tmp_path
+):
+    # the manifest names the bytes the run parsed, not the file it finds
+    # on disk when it writes the manifest
+    model = tmp_path / "model.txt"
+    parsed = persisted_files["model.txt"].read_bytes()
+    model.write_bytes(parsed)
+    parse = cli.model_from_text
+
+    def parse_then_rewrite(text):
+        result = parse(text)
+        model.write_bytes(parsed + b"\n")
+        return result
+
+    monkeypatch.setattr(cli, "model_from_text", parse_then_rewrite)
+    text = PAIR + (f"  model: {model}\n"
+                   f"  coding: {persisted_files['coding.txt']}\n")
+    out = tmp_path / "out"
+    assert main(["pssa-classify", "-c", config_file(tmp_path, text),
+                 "-o", str(out)]) == 0
+    recorded = read_manifest(out)["inputs"][str(model)]
+    assert recorded == hashlib.sha256(parsed).hexdigest() != sha256_of(model)
 
 
 # Commands that read persisted files and cluster nothing, with the config

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gaitpass import cli
-from gaitpass.config import KEYS, REQUIRED, RunConfig, file_sha256, load_config
+from gaitpass.config import KEYS, REQUIRED, RunConfig, load_config
 from gaitpass.errors import ConfigError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -249,7 +249,20 @@ class TestLoading:
         assert params["coding"] == {"alpha": 0.3, "beta": 0.7}
 
 
-def test_file_sha256(tmp_path):
-    path = tmp_path / "blob.bin"
-    path.write_bytes(b"gait")
-    assert file_sha256(path) == hashlib.sha256(b"gait").hexdigest()
+def test_config_sha256_is_of_the_bytes_parsed(tmp_path):
+    path = write_config(tmp_path, SAMPLE)
+    assert load_config(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert RunConfig({}).sha256 is None
+
+
+@pytest.mark.parametrize("raw", [None, b"dataset:\n  kind: synth\xe9tic\n"],
+                         ids=["missing", "not_utf8"])
+def test_unreadable_config_names_the_cause(raw, tmp_path):
+    path = tmp_path / "run.yaml"
+    if raw is not None:
+        path.write_bytes(raw)
+    with pytest.raises((OSError, UnicodeDecodeError)) as cause:
+        path.read_text()
+    with pytest.raises(ConfigError) as error:
+        load_config(path)
+    assert str(error.value) == f"cannot read config {path}: {cause.value}"

@@ -1,5 +1,6 @@
-"""Every module-level import in the package source is used, and importing
-the CLI loads no process-pool machinery and no scipy submodule."""
+"""Every module-level import in the package source is used, the package
+itself imports no module, and importing the CLI loads no process-pool
+machinery and no scipy submodule."""
 
 import ast
 import os
@@ -26,7 +27,7 @@ def unused_imports(path):
 
 
 def test_no_unused_module_imports():
-    modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SOURCE.glob("*.py"))
     assert modules
     unused = [entry for path in modules for entry in unused_imports(path)]
     assert unused == []
@@ -60,3 +61,10 @@ def test_cli_import_loads_no_scipy_submodule():
     bare = loaded_after("import scipy", ("scipy",))
     assert "scipy" in bare
     assert loaded_after("import gaitpass.cli", ("scipy",)) == bare
+
+
+def test_ingest_import_loads_only_ingest_and_errors():
+    # the package's __init__ re-exports nothing, so a reader of one file
+    # format does not load the whole pipeline
+    loaded = loaded_after("import gaitpass.ingest", ("gaitpass",))
+    assert loaded == {"gaitpass", "gaitpass.ingest", "gaitpass.errors"}

@@ -1,5 +1,6 @@
 """Frame containers, dataset text loaders, and the synthetic walker."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_read_file_reads_as_read_text_does(raw, tmp_path):
     elif raw is not None:
         path.write_bytes(raw)
     try:
-        want = path.read_text(), path.read_bytes()
+        want = path.read_text(), hashlib.sha256(path.read_bytes()).hexdigest()
     except (OSError, UnicodeDecodeError) as exc:
         want = f"cannot read {path}: {exc}"
     try:

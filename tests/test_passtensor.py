@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaitpass.errors import CodeBookMismatchError, DataError
+from gaitpass.ingest import parse_file
 from gaitpass.l1g2 import CoupledStateSequence
 from gaitpass.landmark import CyclePartition, partition_cycles, run_statistics
 from gaitpass.passtensor import (
@@ -13,7 +14,6 @@ from gaitpass.passtensor import (
     Passtensor,
     build_passtensor,
     compare_passtensors,
-    load_passtensor,
     passtensor_from_text,
     passtensor_to_text,
     render_cylinder,
@@ -327,7 +327,8 @@ class TestPersistence:
         assert passtensor_to_text(back) == text
         path = tmp_path / "pt.txt"
         path.write_text(text)
-        assert np.array_equal(load_passtensor(path).tensor, pt.tensor)
+        back = parse_file(path, passtensor_from_text)
+        assert np.array_equal(back.tensor, pt.tensor)
 
     def test_empty_code_book_id_roundtrips(self):
         rng = np.random.default_rng(94)
