@@ -73,13 +73,15 @@ def build_state_table(seqs: list[StateVectorSequence]) -> SystemStateTable:
         if seq.n_dims != d:
             raise ValueError(f"dimension mismatch: {seq.n_dims} vs {d}")
     pooled = np.concatenate([seq.states for seq in seqs], axis=0)
-    keys, counts = np.unique(_row_keys(pooled), return_counts=True)
-    # Void keys compare bytewise, so np.unique returns the rows in
+    _, first, counts = np.unique(
+        _row_keys(pooled), return_index=True, return_counts=True
+    )
+    # Keys sort as their rows do, so np.unique returns the rows in
     # lexicographic order and a stable sort on descending count keeps the
     # lexicographic tie rule.
     order = np.argsort(-counts, kind="stable")
     return SystemStateTable(
-        states=keys[order].view(np.uint8).reshape(-1, d),
+        states=pooled[first[order]],
         frequencies=counts[order],
         pool_size=pooled.shape[0],
     )
@@ -118,9 +120,23 @@ def select_pss(
 
 
 def _row_keys(states: np.ndarray) -> np.ndarray:
-    """One opaque ``V{D}`` key per row of a ``uint8`` state matrix."""
-    states = np.ascontiguousarray(states, dtype=np.uint8)
-    return states.view(f"V{states.shape[1]}").ravel()
+    """One ``int64`` key per row of a ``uint8`` state matrix.
+
+    Keys sort as the rows sort lexicographically, and equal keys mean equal
+    rows.  Digits are packed at the width the largest one needs; before a
+    shift would pass 62 bits the partial keys are replaced by their ranks,
+    so keys made in one call share one key space and another call's do not.
+    """
+    width = max(int(states.max(initial=0)).bit_length(), 1)
+    keys = np.zeros(states.shape[0], dtype=np.int64)
+    bits = 0
+    for column in states.T:
+        if bits + width > 62:
+            _, keys = np.unique(keys, return_inverse=True)
+            bits = int(keys.max(initial=0)).bit_length()
+        keys = (keys << width) | column
+        bits += width
+    return keys
 
 
 def segment_proportions(
@@ -144,10 +160,12 @@ def segment_proportions(
             f"segment of {segment_length}"
         )
     n_segments = seq.n_samples // segment_length
-    keys = _row_keys(pss)
+    keys = _row_keys(
+        np.concatenate([pss, seq.states[: n_segments * segment_length]])
+    )
+    keys, samples = keys[: pss.shape[0]], keys[pss.shape[0] :]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    samples = _row_keys(seq.states[: n_segments * segment_length])
     # A state listed twice in pss counts towards its last listing.
     right = np.searchsorted(sorted_keys, samples, side="right")
     hit = right > np.searchsorted(sorted_keys, samples, side="left")
@@ -408,20 +426,63 @@ def classify_matrix(model: KeyPssModel, sigma: ProportionMatrix) -> Classificati
     )
 
 
+def _average_leaf_order(points: np.ndarray) -> np.ndarray:
+    """Leaf order of the average-linkage dendrogram over the rows of ``points``.
+
+    A copy of scipy 1.17's ``leaves_list(linkage(points, "average"))``, so
+    that ordering the heatmap loads no scipy module.  Euclidean distances
+    are summed one dimension at a time, as ``pdist`` sums them.  The
+    nearest-neighbour chain (Muellner 2011, arXiv:1109.2378) steps to the
+    lowest-index nearest cluster unless the previous one is as near, and
+    merges into the higher index by the size-weighted update.  The merges
+    are stably sorted by height and numbered as scipy numbers them; the
+    order lists the root's leaves, left subtree first.
+    """
+    n = points.shape[0]
+    dist = np.zeros((n, n))
+    for column in points.T:
+        dist += np.square(column[:, None] - column[None, :])
+    dist = np.sqrt(dist)
+    np.fill_diagonal(dist, np.inf)
+    size = np.ones(n, dtype=np.int64)
+    pairs, heights, chain = [], [], []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(int(np.flatnonzero(size)[0]))
+        while len(chain) < 2 or dist[chain[-1]].min() < dist[chain[-1], chain[-2]]:
+            chain.append(int(np.argmin(dist[chain[-1]])))
+        x, y = sorted((chain.pop(), chain.pop()))
+        nx, ny = int(size[x]), int(size[y])
+        pairs.append((x, y))
+        heights.append(dist[x, y])
+        size[x], size[y] = 0, nx + ny
+        row = (nx * dist[x] + ny * dist[y]) / (nx + ny)
+        row[size == 0] = np.inf
+        row[y] = np.inf
+        dist[y], dist[:, y] = row, row
+        dist[x], dist[:, x] = np.inf, np.inf
+    # Each merge, in height order, joins the clusters its two leaves are in,
+    # the lower-numbered one on the left; a cluster holds its leaves in order.
+    cluster = np.arange(n)
+    leaves = {i: [i] for i in range(n)}
+    for label, k in enumerate(np.argsort(heights, kind="mergesort"), start=n):
+        left, right = sorted(int(cluster[leaf]) for leaf in pairs[k])
+        leaves[label] = leaves.pop(left) + leaves.pop(right)
+        cluster[leaves[label]] = label
+    return np.array(leaves[2 * n - 2], dtype=np.intp)
+
+
 def cluster_sigma(sigma: ProportionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Average-linkage dendrogram leaf orders for the matrix rows and columns.
 
     Returns ``(row_order, col_order)`` as permutations; used to reorder
-    the matrix before rendering so similar segments sit together.
+    the matrix before rendering so similar segments sit together.  An axis
+    of one item orders as ``[0]``.
     """
-    if sigma.n_rows < 2 or sigma.n_states < 2:
-        raise ValueError("clustering needs at least a 2 x 2 matrix")
-    # imported here, as in hca, so importing pssa loads no scipy submodule
-    from scipy.cluster import hierarchy
-
-    row_z = hierarchy.linkage(sigma.proportions, method="average")
-    col_z = hierarchy.linkage(sigma.proportions.T, method="average")
-    return hierarchy.leaves_list(row_z), hierarchy.leaves_list(col_z)
+    return (
+        _average_leaf_order(sigma.proportions),
+        _average_leaf_order(sigma.proportions.T),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +536,10 @@ def model_from_text(text: str) -> KeyPssModel:
     rows = []
     for _ in range(n_states):
         label = lines.line()
-        if len(label) != d or not label.isdecimal():
-            raise lines.error(f"expected a {d}-digit state, found {label!r}")
+        if len(label) != d or not set(label) <= set("123"):
+            raise lines.error(
+                f"expected a state of {d} digits 1-3, found {label!r}"
+            )
         rows.append([int(ch) for ch in label])
     pss = np.array(rows, dtype=np.uint8).reshape(n_states, d)
     subjects: list[str] = []

@@ -100,8 +100,12 @@ def fit_ternary(
             raise ValueError(
                 f"channel mismatch: {frame.channels} vs {channels}"
             )
-    pooled = np.concatenate([f.values for f in frames], axis=1)
-    thresholds = np.quantile(pooled, [alpha, beta], axis=1).T
+    # One channel at a time, so the pooled D x sum(T) matrix is never built;
+    # the cutoffs equal an axis-1 quantile over it bit for bit.
+    thresholds = [
+        np.quantile(np.concatenate([f.values[d] for f in frames]), [alpha, beta])
+        for d in range(len(channels))
+    ]
     return TernaryCoding(
         alpha=alpha, beta=beta, thresholds=thresholds, channels=channels
     )

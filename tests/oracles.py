@@ -93,6 +93,13 @@ def quantile_type7_literal(values, q: float) -> float:
     return x[lo] + (pos - lo) * (x[hi] - x[lo])
 
 
+def pooled_ternary_cutoffs(frames, alpha: float, beta: float) -> np.ndarray:
+    """D x 2 cutoffs by one axis-1 quantile over the pooled D x sum(T)
+    matrix, which ``fit_ternary``'s per-channel cutoffs equal bit for bit."""
+    pooled = np.concatenate([f.values for f in frames], axis=1)
+    return np.quantile(pooled, [alpha, beta], axis=1).T
+
+
 # ---------------------------------------------------------------------------
 # bottom-up column agglomeration via Lance-Williams updates
 # ---------------------------------------------------------------------------

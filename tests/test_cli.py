@@ -159,6 +159,18 @@ class TestPssa:
         assert str(train_out / "model.txt") in manifest["inputs"]
         assert str(train_out / "coding.txt") in manifest["inputs"]
 
+    @pytest.mark.parametrize("selection", ["n_states: 1", "coverage: 0.01"])
+    def test_one_state_run_writes_its_heatmap(self, selection, tmp_path):
+        # the heatmap's one column orders as [0]
+        cfg = config_file(tmp_path, PAIR.replace("coverage: 0.95", selection))
+        out = tmp_path / "model"
+        assert main(["pssa-train", "-c", cfg, "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "coding.txt", "manifest.json", "model.txt", "report.json",
+            "sigma_heatmap.svg", "sigma_test.tsv", "sigma_train.tsv",
+        ]
+        assert json.loads((out / "report.json").read_text())["n_pss"] == 1
+
     def test_train_on_hugadb_files(self, tmp_path):
         # HuGaDB v1 layout: '#' lines, then a tab-separated header and rows
         acc = [f"acc_{loc}_{axis}" for loc in HUGADB_SENSORS for axis in "xyz"]
@@ -825,6 +837,18 @@ def model_line(key, rest):
     return lambda text: replaced_line(text, key, rest)[0]
 
 
+def first_state_digit(digit):
+    """Damage: the model's first state starting with ``digit`` instead."""
+    def damage(text):
+        lines = text.splitlines(keepends=True)
+        at = 1 + next(
+            i for i, line in enumerate(lines) if line.startswith("states ")
+        )
+        lines[at] = digit + lines[at][1:]
+        return "".join(lines)
+    return damage
+
+
 def subject_twice(text):
     """Damage: the model's second subject renamed to its first."""
     return text.replace("subject bob\n", "subject ann\n")
@@ -872,6 +896,12 @@ BAD_INPUTS.update({
         ("segment_length_negative", "segment_length", "-5"),
         ("states_zero", "states", "0 6"),
     )
+})
+# state digits outside ASCII 1-3, which str.isdecimal let through: a 9 and
+# an Arabic-Indic one
+BAD_INPUTS.update({
+    f"pssa.model-state_digit_{name}": ("pssa.model", first_state_digit(digit))
+    for name, digit in (("nine", "9"), ("arabic_indic_one", "\u0661"))
 })
 BAD_INPUTS["pssa.model-subjects_zero"] = ("pssa.model", no_subjects)
 BAD_INPUTS["pssa.model-subject_twice"] = ("pssa.model", subject_twice)
@@ -980,6 +1010,21 @@ def test_model_error_names_line(damage, at, named, persisted_files, tmp_path, ca
         "pssa.model", bad, persisted_files, tmp_path, capsys
     )
     assert f"{bad}: line {line}: {named}" in message
+
+
+@pytest.mark.parametrize("digit", ["9", "\u0661"], ids=["nine", "arabic_indic_one"])
+def test_state_digit_error_names_line(digit, persisted_files, tmp_path, capsys):
+    text = persisted_files["model.txt"].read_text()
+    rows = text.splitlines()
+    line = 2 + next(i for i, row in enumerate(rows) if row.startswith("states "))
+    bad = tmp_path / "model.txt"
+    bad.write_text(first_state_digit(digit)(text))
+    message = data_error_of_reading(
+        "pssa.model", bad, persisted_files, tmp_path, capsys
+    )
+    state = digit + rows[line - 1][1:]
+    assert f"{bad}: line {line}: expected a state of {len(state)} digits 1-3, " \
+        f"found {state!r}" in message
 
 
 # Segment lengths that leave the PAIR subjects (641 and 643 samples) fewer
@@ -1120,9 +1165,11 @@ def test_model_rewritten_after_parse_keeps_parsed_hash(
     assert recorded == hashlib.sha256(parsed).hexdigest() != sha256_of(model)
 
 
-# Commands that read persisted files and cluster nothing, with the config
-# each runs on: none may load scipy's clustering or k-d tree.
+# Commands that link no columns, with the config each runs on: none may
+# load scipy's clustering or k-d tree.  pssa-train orders its heatmap by
+# average linkage in numpy.
 CLUSTER_FREE = {
+    "pssa-train": lambda files: PAIR,
     "passtensor-compare": lambda files: (
         f"passtensor:\n  compare: [{files['passtensor.txt']}, "
         f"{files['passtensor.txt']}]\n"
@@ -1158,22 +1205,11 @@ def scipy_loaded_by(command, text, tmp_path):
     return loaded, out
 
 
-# Commands that link columns load the k-d tree; only pssa-train, which
-# orders its heatmap by average linkage, loads scipy's clustering.
-CLUSTERING = {
-    "cycles": (WALK, False),
-    "passtensor-build": (WALK, False),
-    "complexity": (WALK, False),
-    "pssa-train": (PAIR, True),
-}
-
-
-@pytest.mark.parametrize("command", list(CLUSTERING))
-def test_only_pssa_train_loads_scipy_clustering(command, tmp_path):
-    text, clusters = CLUSTERING[command]
-    loaded, _ = scipy_loaded_by(command, text, tmp_path)
+@pytest.mark.parametrize("command", ["cycles", "passtensor-build", "complexity"])
+def test_linking_command_loads_kd_tree_only(command, tmp_path):
+    loaded, _ = scipy_loaded_by(command, WALK, tmp_path)
     assert "scipy.spatial" in loaded
-    assert ("scipy.cluster" in loaded) == clusters
+    assert not any(m.startswith("scipy.cluster") for m in loaded)
 
 
 @pytest.mark.parametrize("command", list(CLUSTER_FREE))

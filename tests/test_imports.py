@@ -1,6 +1,6 @@
 """Every module-level import in the package source is used, the package
-itself imports no module, and importing the CLI loads no process-pool
-machinery and no scipy submodule."""
+itself imports no module, no module imports scipy's clustering, and
+importing the CLI loads no process-pool machinery and no scipy submodule."""
 
 import ast
 import os
@@ -33,6 +33,31 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def imported_modules(path):
+    """Every module an import statement in ``path`` names, at any depth;
+    ``from a import b`` names both ``a`` and ``a.b``."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_no_module_imports_scipy_clustering():
+    # scipy's clustering is a test oracle only: pssa orders its heatmap in
+    # numpy and hca links columns over scipy's k-d tree
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name in imported_modules(path)
+        if name == "scipy.cluster" or name.startswith("scipy.cluster.")
+    ]
+    assert found == []
+
+
 def loaded_after(statement, prefixes):
     """The modules under ``prefixes`` that ``statement`` leaves in
     ``sys.modules`` of a fresh interpreter."""
@@ -56,8 +81,8 @@ def test_cli_import_leaves_process_pools_unloaded():
 
 
 def test_cli_import_loads_no_scipy_submodule():
-    # hca and pssa import scipy's clustering and k-d tree where they link;
-    # the CLI imports scipy itself only for the manifest's version string
+    # hca imports scipy's k-d tree where it links; the CLI imports scipy
+    # itself only for the manifest's version string
     bare = loaded_after("import scipy", ("scipy",))
     assert "scipy" in bare
     assert loaded_after("import gaitpass.cli", ("scipy",)) == bare

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster import hierarchy
 
 from gaitpass.errors import DataError
 from gaitpass.pssa import (
@@ -23,6 +24,8 @@ from gaitpass.pssa import (
     split_alternating,
     state_label,
     train_key_pss,
+    _average_leaf_order,
+    _row_keys,
 )
 from gaitpass.symbolic import StateVectorSequence
 from oracles import (
@@ -147,13 +150,16 @@ class TestSegmentProportions:
 
 @settings(max_examples=120, deadline=None)
 @given(
-    d=st.integers(1, 24),
+    d=st.integers(1, 40),
     lengths=st.lists(st.integers(1, 150), min_size=1, max_size=3),
     pool=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_table_and_proportions_match_row_oracles(d, lengths, pool, seed):
-    """Void-keyed counting equals per-row ranking and per-sample lookup."""
+    """Integer-keyed counting equals per-row ranking and per-sample lookup.
+
+    Past 31 channels the keys are re-ranked on the way.
+    """
     rng = np.random.default_rng(seed)
     common = rng.integers(1, 4, size=(pool, d))
     seqs = []
@@ -163,7 +169,7 @@ def test_table_and_proportions_match_row_oracles(d, lengths, pool, seed):
             common[rng.integers(0, pool, n)],
             rng.integers(1, 4, size=(n, d)),
         )
-        # column-major states exercise the contiguous copy
+        # column-major states key as row-major ones do
         seqs.append(svs(np.asfortranarray(rows) if n % 2 else rows))
     table = build_state_table(seqs)
     states, counts = state_table_by_rows(
@@ -410,6 +416,51 @@ def test_classify_matrix_matches_row_by_row_oracle(
     assert got == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 40),
+    n=st.integers(1, 200),
+    top=st.sampled_from([1, 3, 4, 200, 255]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_keys_sort_as_rows_sort(d, n, top, seed):
+    # any uint8 digits: 8-bit digits are re-ranked from the eighth column on
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, top + 1, (n, d), dtype=np.uint8)
+    rows = rows[rng.integers(0, n, n)]
+    keys = _row_keys(rows)
+    order = np.lexsort(rows.T[::-1])
+    assert np.array_equal(np.argsort(keys, kind="stable"), order)
+    same_row = np.all(rows[order][1:] == rows[order][:-1], axis=1)
+    assert np.array_equal(np.diff(keys[order]) == 0, same_row)
+
+
+def heatmap_points(kind, n, d, rng):
+    """``n`` rows of ``d`` values for the heatmap order to link."""
+    if kind == "continuous":
+        return rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+    if kind == "thousandths":
+        return rng.integers(0, 20, (n, d)) / 1000.0
+    if kind == "proportions":
+        return rng.multinomial(int(rng.integers(1, 30)), np.ones(d) / d, n) / 40.0
+    # a few distinct rows, each repeated
+    distinct = rng.uniform(0.0, 0.2, (max(1, n // 4), d))
+    return distinct[rng.integers(0, distinct.shape[0], n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["continuous", "thousandths", "proportions", "duplicates"]),
+    n=st.integers(2, 80),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_heatmap_order_equals_scipy_average_linkage(kind, n, d, seed):
+    points = heatmap_points(kind, n, d, np.random.default_rng(seed))
+    want = hierarchy.leaves_list(hierarchy.linkage(points, method="average"))
+    assert np.array_equal(_average_leaf_order(points), want)
+
+
 class TestSigmaArtifacts:
     def test_cluster_sigma_returns_permutations(self):
         rng = np.random.default_rng(43)
@@ -423,16 +474,18 @@ class TestSigmaArtifacts:
         rows, cols = cluster_sigma(sigma)
         assert sorted(rows.tolist()) == list(range(6))
         assert sorted(cols.tolist()) == list(range(4))
-        with pytest.raises(ValueError):
-            cluster_sigma(
-                ProportionMatrix(
-                    proportions=np.array([[0.1, 0.2]]),
-                    subjects=("A",),
-                    segment_indices=(0,),
-                    pss=np.array([[1, 1], [2, 2]], dtype=np.uint8),
-                    segment_length=5,
-                )
+        # an axis of one item orders as [0]
+        rows, cols = cluster_sigma(
+            ProportionMatrix(
+                proportions=np.array([[0.1], [0.5], [0.15]]),
+                subjects=("A", "B", "A"),
+                segment_indices=(0, 0, 1),
+                pss=np.array([[1, 1]], dtype=np.uint8),
+                segment_length=5,
             )
+        )
+        assert rows.tolist() == [1, 0, 2]
+        assert cols.tolist() == [0]
 
     def test_sigma_tsv_round_trips_floats(self):
         sigma = two_subject_sigma()

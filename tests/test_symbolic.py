@@ -1,5 +1,7 @@
 """Ternary quantile coding: cutoffs, band edges, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from gaitpass.symbolic import (
     fit_ternary,
     resultant_acceleration,
 )
-from oracles import quantile_type7_literal
+from oracles import pooled_ternary_cutoffs, quantile_type7_literal
 
 
 def frame_of(values, sensors=None):
@@ -57,6 +59,52 @@ def test_fit_pools_across_frames():
     pooled = np.concatenate([a.values, b.values], axis=1)
     for d in range(3):
         assert coding.thresholds[d, 0] == quantile_type7_literal(pooled[d], 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+    sensors=st.integers(1, 2),
+    levels=st.sampled_from([1, 2, 3, 7, 0]),
+    alpha=st.floats(0.01, 0.49),
+    beta=st.floats(0.51, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_equals_pooled_quantile_bit_for_bit(
+    lengths, sensors, levels, alpha, beta, seed
+):
+    # levels > 0 draws from that many repeated values; 0 draws continuous ones
+    rng = np.random.default_rng(seed)
+    frames = []
+    for n in lengths:
+        shape = (3 * sensors, n)
+        if levels:
+            values = rng.integers(0, levels, shape) * rng.uniform(0.1, 3.0)
+        else:
+            values = rng.standard_normal(shape)
+        frames.append(frame_of(values))
+    got = fit_ternary(frames, alpha, beta).thresholds
+    assert got.tobytes() == pooled_ternary_cutoffs(frames, alpha, beta).tobytes()
+
+
+def test_fit_never_holds_the_pooled_matrix():
+    # Four 4-sensor frames: the pooled 12 x 110,000 matrix is 12 channels
+    # of 0.88 MB.  The fit holds one pooled channel, numpy's partitioned
+    # copy of it and a little more (3.3 channels measured); an axis-1
+    # quantile over the pooled matrix peaks at 24 channels, twice its size.
+    rng = np.random.default_rng(3)
+    frames = [
+        frame_of(rng.standard_normal((12, n)))
+        for n in (20000, 25000, 30000, 35000)
+    ]
+    channel_bytes = 8 * sum(f.n_samples for f in frames)
+    tracemalloc.start()
+    try:
+        fit_ternary(frames, 0.3, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * channel_bytes
 
 
 def test_fit_rejects_channel_mismatch():
